@@ -3,9 +3,10 @@
 The micro-benchmarks time the kernel primitives (timer churn, process
 spawn/finish, processor-sharing state changes, fabric contention); the
 macro-benchmark runs the registry's ``stress50`` 900-update cells and
-records wall-clock plus engine counters to ``BENCH_engine.json`` at the
-repository root (label ``"macro-bench"``; re-runs replace the entry, so
-the committed trajectory labels are preserved).
+records wall-clock plus engine counters through ``bench.record_run``
+into a throwaway trajectory file, so a test run never rewrites the
+committed ``BENCH_engine.json`` (record a labelled row there with
+``python -m repro.perf.bench --out BENCH_engine.json --label <label>``).
 
 Run with::
 
@@ -14,14 +15,9 @@ Run with::
 
 from __future__ import annotations
 
-import os
-
 from repro.perf import bench
 from repro.perf.counters import collect
 from repro.sim.engine import Environment
-
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-BENCH_JSON = os.path.join(REPO_ROOT, "BENCH_engine.json")
 
 
 def test_bench_engine_timer_churn(benchmark):
@@ -49,9 +45,9 @@ def test_bench_engine_fabric_churn(benchmark):
     assert env.events_processed > 0
 
 
-def test_bench_stress50_macro(benchmark):
+def test_bench_stress50_macro(benchmark, tmp_path):
     """The acceptance macro-benchmark: one warm+measured 900-update cell
-    per system, recorded into BENCH_engine.json."""
+    per system, recorded into a throwaway trajectory file."""
     from repro.experiments.stress50 import run_cell
 
     def both_systems():
@@ -65,9 +61,10 @@ def test_bench_stress50_macro(benchmark):
     assert counters.events_processed > 0
 
     metrics = bench.run_macro_stress50(repeat=1)
-    bench.record_run(BENCH_JSON, "macro-bench", {"macro_stress50": metrics})
+    trajectory = str(tmp_path / "BENCH_engine.json")
+    bench.record_run(trajectory, "macro-bench", {"macro_stress50": metrics})
     print(f"\nstress50 macro: LIFL {metrics['LIFL']['seconds']*1e3:.1f} ms, "
-          f"SL-H {metrics['SL-H']['seconds']*1e3:.1f} ms (recorded in BENCH_engine.json)")
+          f"SL-H {metrics['SL-H']['seconds']*1e3:.1f} ms")
 
 
 def test_engine_counters_conserve_heap_traffic():

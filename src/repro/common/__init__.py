@@ -1,4 +1,5 @@
-"""Shared utilities: units, errors, RNG management, configuration, event logs.
+"""Shared utilities: units, errors, RNG management, configuration, event logs,
+and the fork/inline fan-out primitive (:mod:`repro.common.fanout`).
 
 Everything in :mod:`repro.common` is dependency-free (stdlib + numpy only) and
 used by every other subpackage.

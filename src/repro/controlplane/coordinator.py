@@ -11,10 +11,14 @@ Per planning cycle the coordinator:
    opportunistically (§5.3),
 5. derives the TAG and the route updates the agents must apply (App. A/D).
 
-The output is an :class:`OrchestrationDecision` — a pure data object the
-simulation platforms and the real runtime both consume, so Fig. 8's ablation
-toggles (placement policy, hierarchy planning, reuse, eager) exercise this
-exact code.
+The output is an :class:`OrchestrationDecision`, a pure data object.  This
+module is a standalone model of the paper's orchestration cycle, exported
+from :mod:`repro.controlplane` and exercised by its own tests; no experiment
+and no simulation platform runs it.  :class:`~repro.core.platform.AggregationPlatform`
+(and through it every figure, including Fig. 8's ablation toggles) does its
+own placement, hierarchy planning and reuse, sharing only the building
+blocks in :mod:`repro.controlplane.placement` and
+:mod:`repro.controlplane.hierarchy`.
 """
 
 from __future__ import annotations

@@ -34,26 +34,25 @@ duration-dependent reservations match the unpartitioned accounting.
 
 ``shards=1`` bypasses the protocol entirely — it is literally the
 sequential engine, so it is byte-identical to an unpartitioned run (the
-golden tests pin this).  Fork machinery mirrors
-:class:`~repro.traces.shard.ShardedReplayEngine`: fork start method,
-recv-before-join pipes, inline fallback where fork is unavailable, and
-per-shard CPU self-timing for the critical-path report.
+golden tests pin this).  Cohorts fan out over
+:func:`repro.common.fanout.fanout`, like
+:class:`~repro.traces.shard.ShardedReplayEngine`'s shards, and report
+per-cohort CPU self-timing for the critical-path report.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import ConfigError
+from repro.common.fanout import fanout
 from repro.controlplane.hierarchy import HierarchyPlan
 from repro.core.results import RoundResult
 from repro.core.stages import GatewayIngress
 from repro.core.updates import SimUpdate
-from repro.perf.counters import COUNTER_FIELDS, collect, maybe_register
+from repro.perf.counters import CounterCarrier, collect, maybe_register
 from repro.sim.engine import Environment
 
 if TYPE_CHECKING:  # import-light, mirroring traces/shard.py
@@ -205,17 +204,6 @@ class PartitionedRunResult:
         return worst + self.root_cpu_seconds
 
 
-class _CounterCarrier:
-    """Duck-typed Environment for the perf collector (exposes the
-    COUNTER_FIELDS attributes) — credits forked cohorts' engine work to an
-    active ``--profile`` collector, like traces/shard does."""
-
-    def __init__(self, label: str, counters: dict[str, int]) -> None:
-        self.perf_label = label
-        for name in COUNTER_FIELDS:
-            setattr(self, name, counters.get(name, 0))
-
-
 class PartitionedRoundEngine:
     """Run consecutive rounds with each round's cohort cut across workers.
 
@@ -295,15 +283,17 @@ class PartitionedRoundEngine:
                     ],
                 )
             )
-        n_workers = min(cohorts.n_shards, self.workers or _available_cpus())
-        fork = not inline and n_workers > 1 and _fork_available()
-        if fork:
-            runs = self._run_forked(tasks, n_workers)
+        runs, workers = fanout(
+            tasks,
+            lambda task: self._run_cohort(*task),
+            self.workers,
+            inline,
+            "partitioned round",
+            lambda task: f"cohort {task[0]}",
+        )
+        if workers > 1:
             for rep in runs:
-                maybe_register(_CounterCarrier(f"cohort{rep.shard}", rep.counters))
-        else:
-            runs = [self._run_cohort(*task) for task in tasks]
-        runs.sort(key=lambda r: r.shard)
+                maybe_register(CounterCarrier(f"cohort{rep.shard}", rep.counters))
 
         # -- root phase: replay each round with every cohort's emissions --
         cpu0 = time.process_time()
@@ -346,8 +336,8 @@ class PartitionedRoundEngine:
                 )
                 for run in runs
             ],
-            forked=fork,
-            workers=n_workers if fork else 1,
+            forked=workers > 1,
+            workers=workers,
             root_cpu_seconds=root_cpu,
         )
 
@@ -422,50 +412,6 @@ class PartitionedRoundEngine:
             cpu_seconds=time.process_time() - cpu0,
         )
 
-    def _run_forked(
-        self,
-        tasks: list[tuple[int, tuple[str, ...], list]],
-        n_workers: int,
-    ) -> list[_CohortRun]:
-        """Fan cohorts over forked workers (recv-before-join pipes, LPT
-        deal — the traces/shard machinery, one layer down)."""
-        ctx = multiprocessing.get_context("fork")
-        groups = [tasks[w::n_workers] for w in range(n_workers)]
-        procs = []
-        for w, group in enumerate(groups):
-            rx, tx = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=self._worker_main, args=(group, tx), name=f"cohort-w{w}"
-            )
-            proc.start()
-            tx.close()
-            procs.append((group, proc, rx))
-        runs: list[_CohortRun] = []
-        failures: list[str] = []
-        for group, proc, rx in procs:
-            shard_ids = ",".join(str(i) for i, _, _ in group)
-            try:
-                status, payload = rx.recv()
-            except EOFError:
-                status, payload = "err", "worker died without reporting"
-            proc.join()
-            if status == "ok":
-                runs.extend(payload)
-            else:
-                failures.append(f"cohorts [{shard_ids}]: {payload}")
-        if failures:
-            raise RuntimeError("partitioned round failed: " + "; ".join(failures))
-        return runs
-
-    def _worker_main(self, group, conn) -> None:
-        try:
-            out = [self._run_cohort(*task) for task in group]
-            conn.send(("ok", out))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-        finally:
-            conn.close()
-
     # ------------------------------------------------------------------ merge
     @staticmethod
     def _merge_round(
@@ -512,18 +458,3 @@ class PartitionedRoundEngine:
             )
         if cfg.static_leaf_nodes > 0 or cfg.fixed_instances > 0:
             raise ConfigError("cohort partitioning does not support static (SF) trees")
-
-
-def _fork_available() -> bool:
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return False
-    return not multiprocessing.current_process().daemon
-
-
-def _available_cpus() -> int:
-    import os
-
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1

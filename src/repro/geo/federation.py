@@ -42,28 +42,25 @@ suite pins.
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-import traceback
 from dataclasses import dataclass, replace
 from dataclasses import field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigError
+from repro.common.fanout import fanout
 from repro.cluster.network import ProcessorSharingLink
 from repro.geo.topology import RegionTopology, validate_geo_faults
-from repro.perf.counters import collect, maybe_register
+from repro.perf.counters import CounterCarrier, maybe_register
 from repro.sim.engine import Environment, Process
 from repro.telemetry.bus import (
-    RecordingSubscriber,
     TelemetryBus,
     TelemetryRecord,
     ambient_bus,
     merge_streams,
 )
 from repro.traces.models import Trace, TraceEvent
-from repro.traces.replay import ReplayConfig, ReplayResult, TraceReplayEngine
-from repro.traces.shard import _available_cpus, _fork_available, _ShardCounters
+from repro.traces.replay import ReplayConfig, ReplayResult
+from repro.traces.shard import fold_results, replay_cell
 from repro.traces.slo import SloTracker
 
 if TYPE_CHECKING:  # import-light, mirroring shard.py
@@ -380,15 +377,17 @@ class GeoReplayEngine:
             (i, region, region_subtrace(self.trace, region, route.assignments[region]))
             for i, region in enumerate(self.topology.regions)
         ]
-        n_workers = min(len(tasks), self.workers or _available_cpus())
-        fork = not inline and n_workers > 1 and _fork_available()
-        if fork:
-            reports = self._run_forked(tasks, n_workers)
+        reports, workers = fanout(
+            tasks,
+            self._run_region,
+            self.workers,
+            inline,
+            "geo replay",
+            lambda task: f"region {task[1]}",
+        )
+        if workers > 1:
             for rep in reports:
-                maybe_register(_ShardCounters(f"region:{rep.region}", rep.counters))
-        else:
-            reports = [self._run_region(i, region, sub) for i, region, sub in tasks]
-        reports.sort(key=lambda r: r.index)
+                maybe_register(CounterCarrier(f"region:{rep.region}", rep.counters))
         shipments = self._run_wan(reports, route)
         merged = self._merge(reports, shipments)
         self._publish_streams(tel, reports, route, shipments)
@@ -397,87 +396,32 @@ class GeoReplayEngine:
             regions=reports,
             route=route,
             shipments=shipments,
-            forked=fork,
-            workers=n_workers if fork else 1,
+            forked=workers > 1,
+            workers=workers,
         )
 
     # ---------------------------------------------------------------- cells
-    def _run_region(self, index: int, region: str, sub: Trace) -> RegionReport:
-        """Replay one region cell in the current process (same discipline
-        as :meth:`ShardedReplayEngine._run_shard`: private bus, own
-        counters, own platform from the factory)."""
-        wall0 = time.perf_counter()
-        cpu0 = time.process_time()
-        cell_bus = TelemetryBus()
-        recorder = RecordingSubscriber(cell_bus) if self._stream_cells else None
-        with collect() as perf:
-            engine = TraceReplayEngine(
-                self.platform_factory(region),
-                sub,
-                self.config,
-                availability=self.availability,
-                weights=self.weights,
-                selector=self.selector,
-                clients=self.clients,
-                chaos=self.chaos,
-                seed=self.seed,
-                population=self.population,
-                controller=self.controller,
-                telemetry=cell_bus,
-            )
-            result = engine.run()
-        return RegionReport(
-            index=index,
-            region=region,
-            tenants=tuple(sorted({r.tenant for r in result.records})),
-            result=result,
-            counters=perf.counters().as_dict(),
-            wall_seconds=time.perf_counter() - wall0,
-            cpu_seconds=time.process_time() - cpu0,
-            telemetry=recorder.records if recorder is not None else [],
+    def _run_region(self, task: tuple[int, str, Trace]) -> RegionReport:
+        """Replay one region cell in the current process (the
+        :func:`~repro.traces.shard.replay_cell` discipline: private bus,
+        own counters, own platform from the factory)."""
+        index, region, sub = task
+        cell = replay_cell(
+            lambda: self.platform_factory(region),
+            sub,
+            self.config,
+            self._stream_cells,
+            availability=self.availability,
+            weights=self.weights,
+            selector=self.selector,
+            clients=self.clients,
+            chaos=self.chaos,
+            seed=self.seed,
+            population=self.population,
+            controller=self.controller,
         )
-
-    def _run_forked(
-        self, tasks: list[tuple[int, str, Trace]], n_workers: int
-    ) -> list[RegionReport]:
-        """One ShardedReplayEngine-style worker fleet, one region per
-        task: fork, deal round-robin, receive before join."""
-        ctx = multiprocessing.get_context("fork")
-        groups = [tasks[w::n_workers] for w in range(n_workers)]
-        procs = []
-        for w, group in enumerate(groups):
-            rx, tx = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=self._worker_main, args=(group, tx), name=f"geo-region-w{w}"
-            )
-            proc.start()
-            tx.close()
-            procs.append((group, proc, rx))
-        reports: list[RegionReport] = []
-        failures: list[str] = []
-        for group, proc, rx in procs:
-            names = ",".join(region for _, region, _ in group)
-            try:
-                status, payload = rx.recv()
-            except EOFError:
-                status, payload = "err", "worker died without reporting"
-            proc.join()
-            if status == "ok":
-                reports.extend(payload)
-            else:
-                failures.append(f"regions [{names}]: {payload}")
-        if failures:
-            raise RuntimeError("geo replay failed: " + "; ".join(failures))
-        return reports
-
-    def _worker_main(self, group, conn) -> None:
-        try:
-            out = [self._run_region(i, region, sub) for i, region, sub in group]
-            conn.send(("ok", out))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-        finally:
-            conn.close()
+        tenants = tuple(sorted({r.tenant for r in cell["result"].records}))
+        return RegionReport(index=index, region=region, tenants=tenants, **cell)
 
     # ------------------------------------------------------------------ WAN
     def _run_wan(
@@ -564,7 +508,8 @@ class GeoReplayEngine:
         :class:`~repro.traces.replay.ReplayResult`.
 
         One region short-circuits to the cell's own result (byte-identity
-        with the unsharded replay).  Otherwise every cross-region
+        with the unsharded replay).  Otherwise the cells fold through
+        :func:`~repro.traces.shard.fold_results`, every cross-region
         completed round's ``complete_at`` grows by its shipment's
         propagation + transfer time, and the merged SLO tracker is
         rebuilt from the adjusted records — digest addition is exact, so
@@ -573,42 +518,17 @@ class GeoReplayEngine:
         """
         if len(reports) == 1:
             return reports[0].result
-        cfg = self.config
+        merged = fold_results(
+            [rep.result for rep in reports], self.config, self.trace.horizon
+        )
         extra = {(s.tenant, s.round_id): s.wan_extra_s for s in shipments}
-        records = []
-        tracker = SloTracker(
-            cfg.slo_target_s,
-            controller=any(rep.result.slo.controller for rep in reports),
-        )
-        merged = ReplayResult(
-            records=records,
-            slo=tracker,
-            horizon=self.trace.horizon,
-            track_cost=cfg.track_cost,
-        )
-        peak_per_tenant: dict[int, int] = {}
-        for rep in reports:
-            res = rep.result
-            for rec in res.records:
-                wan_extra = extra.get((rec.tenant, rec.round_id))
-                if wan_extra:
-                    rec = replace(rec, complete_at=rec.complete_at + wan_extra)
-                records.append(rec)
-            merged.peak_inflight += res.peak_inflight
-            merged.chaos_waves += res.chaos_waves
-            merged.clients_dropped += res.clients_dropped
-            merged.cost_cpu_s += res.cost_cpu_s
-            for tenant, peak in res.peak_inflight_per_tenant.items():
-                if peak > peak_per_tenant.get(tenant, -1):
-                    peak_per_tenant[tenant] = peak
-            if res.controller is not None:
-                if merged.controller is None:
-                    from repro.controlplane.reactive import ControllerReport
-
-                    merged.controller = ControllerReport()
-                merged.controller.merge(res.controller)
-        records.sort(key=lambda r: (r.arrival_at, r.tenant, r.round_id))
-        for rec in records:
+        tracker = SloTracker(self.config.slo_target_s, controller=merged.slo.controller)
+        records = merged.records
+        for i, rec in enumerate(records):
+            wan_extra = extra.get((rec.tenant, rec.round_id))
+            if wan_extra:
+                rec = replace(rec, complete_at=rec.complete_at + wan_extra)
+                records[i] = rec
             if rec.rejected:
                 tracker.reject(at=rec.arrival_at)
             elif rec.shed:
@@ -623,7 +543,7 @@ class GeoReplayEngine:
                 raise ConfigError(
                     f"round t{rec.tenant}r{rec.round_id} has no terminal outcome"
                 )
-        merged.peak_inflight_per_tenant = dict(sorted(peak_per_tenant.items()))
+        merged.slo = tracker
         return merged
 
     # ------------------------------------------------------------ telemetry

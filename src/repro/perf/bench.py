@@ -227,10 +227,10 @@ def run_macro_trace_diurnal_sharded(repeat: int = 3, shards: int = 4) -> dict:
     ``critical_path_speedup`` is the sequential wall over that floor.
     ``host_cpus`` records which regime the measurement ran in.
     """
+    from repro.common.fanout import available_cpus
     from repro.experiments.trace_scenarios import _diurnal_replay
-    from repro.traces.shard import _available_cpus
 
-    out: dict[str, dict] = {"host_cpus": _available_cpus(), "shards": shards}
+    out: dict[str, dict] = {"host_cpus": available_cpus(), "shards": shards}
     for system in ("LIFL", "SL-H"):
         best_seq = None
         for _ in range(repeat):
@@ -292,8 +292,9 @@ def run_macro_stress100k(repeat: int = 3, shards: int = 4) -> dict:
     floor a host with ``shards`` free cores reaches), and ``host_cpus``
     records which regime the measurement ran in.
     """
+    from repro.common.fanout import available_cpus
     from repro.common.units import RESNET18_BYTES
-    from repro.core.partition import PartitionedRoundEngine, _available_cpus
+    from repro.core.partition import PartitionedRoundEngine
     from repro.core.platform import AggregationPlatform, PlatformConfig
     from repro.experiments.stress100k import SCALES, build_population, round_arrivals
 
@@ -308,7 +309,7 @@ def run_macro_stress100k(repeat: int = 3, shards: int = 4) -> dict:
     population = build_population(scale)
     rounds = [round_arrivals(population, scale, r) for r in range(2)]
     out: dict = {
-        "host_cpus": _available_cpus(),
+        "host_cpus": available_cpus(),
         "shards": shards,
         "clients": population.size,
         "participants": participants,
@@ -368,10 +369,10 @@ def run_macro_geo_followsun(repeat: int = 3) -> dict:
     stage really ran; ``host_cpus`` records whether the regions forked or
     degraded to inline (single-CPU hosts).
     """
+    from repro.common.fanout import available_cpus
     from repro.experiments.geo_scenarios import run_followsun_cell
-    from repro.traces.shard import _available_cpus
 
-    out: dict = {"host_cpus": _available_cpus(), "regions": 3}
+    out: dict = {"host_cpus": available_cpus(), "regions": 3}
     for system in ("LIFL",):
         best = None
         counters = EngineCounters()

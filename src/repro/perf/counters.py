@@ -119,6 +119,17 @@ class PerfCollector:
         return out
 
 
+class CounterCarrier:
+    """A forked worker's counters, shaped like an Environment for the
+    collector (it carries the :data:`COUNTER_FIELDS` attributes and a
+    ``perf_label``), so ``--profile`` sees engine work done in children."""
+
+    def __init__(self, label: str, counters: dict[str, int]) -> None:
+        self.perf_label = label
+        for name in COUNTER_FIELDS:
+            setattr(self, name, counters.get(name, 0))
+
+
 def snapshot(env: Any) -> dict[str, int]:
     """One environment's counter attributes as a flat dict — the payload
     of the telemetry bus's ``perf-snapshot`` record."""
