@@ -57,7 +57,7 @@ class FreshestFirstSelection(SelectionPolicy):
 def main() -> None:
     # Registration is immediate: the registry now lists the new name and
     # any ReplayConfig can resolve it.
-    assert "freshest-first" in POLICIES.names("selection")
+    assert "freshest-first" in POLICIES["selection"].names()
 
     seed = 42
     trace = poisson_trace(12.0, 120.0, seed=seed)

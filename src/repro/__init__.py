@@ -11,7 +11,7 @@ Subpackages:
 * :mod:`repro.runtime` — the **real** node runtime: shared-memory object
   store, sockmap/SKMSG routing, gateways, metrics maps, checkpoints;
 * :mod:`repro.controlplane` — placement, hierarchy planning, autoscaling,
-  reuse, TAG, coordinator, per-node agents;
+  TAG, the reactive controller, per-node agents;
 * :mod:`repro.fl` — FedAvg (+ FedProx/FedAdam/FedYogi/FedAdagrad), real
   NumPy training, synthetic non-IID federated datasets, clients, selection;
 * :mod:`repro.workloads` — FedScale-like populations and arrival traces;

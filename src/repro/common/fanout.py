@@ -14,12 +14,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import traceback
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Hashable, Mapping, Sequence, TypeVar
 
-__all__ = ["FanoutError", "available_cpus", "can_fork", "fanout"]
+__all__ = ["FanoutError", "available_cpus", "balance", "can_fork", "fanout"]
 
 T = TypeVar("T")
 R = TypeVar("R")
+K = TypeVar("K", bound=Hashable)
 
 
 class FanoutError(RuntimeError):
@@ -107,3 +108,22 @@ def fanout(
     if failures:
         raise FanoutError(f"{what} failed: " + "; ".join(failures))
     return results, n
+
+
+def balance(weights: Mapping[K, int], n: int) -> tuple[tuple[K, ...], ...]:
+    """Split the keys of ``weights`` into at most ``n`` groups of similar
+    total weight, for :func:`fanout` to run one task per group.
+
+    Greedy longest-processing-time: keys are taken heaviest first (ties by
+    key) and each joins the lightest group (ties by group index).  Each
+    group comes back sorted; there are ``min(n, len(weights))`` groups, so
+    no group is empty.
+    """
+    n = min(n, len(weights))
+    loads = [0] * n
+    members: list[list[K]] = [[] for _ in range(n)]
+    for key in sorted(weights, key=lambda k: (-weights[k], k)):
+        group = min(range(n), key=lambda i: (loads[i], i))
+        loads[group] += weights[key]
+        members[group].append(key)
+    return tuple(tuple(sorted(m)) for m in members)

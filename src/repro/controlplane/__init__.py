@@ -11,14 +11,13 @@ under test in Fig. 8 and the §6.1 overhead measurements:
 * :mod:`repro.controlplane.autoscaler` — hierarchy-aware autoscaling with
   EWMA-smoothed queue estimates (§5.2), plus the threshold autoscaler
   baseline (§2.3);
-* :mod:`repro.controlplane.reuse` — opportunistic reuse of warm aggregator
-  runtimes (§5.3);
 * :mod:`repro.controlplane.tag` — the Topology Abstraction Graph used for
   fine-grained control (Appendix D);
 * :mod:`repro.controlplane.metrics` — the metrics server fed by the
   eBPF-sidecar metrics maps;
-* :mod:`repro.controlplane.agent` / :mod:`repro.controlplane.coordinator` —
-  the per-node agent and the cluster-wide coordinator tying it together;
+* :mod:`repro.controlplane.agent` — the per-node agent that drives the
+  real runtime of :mod:`repro.runtime` (see
+  ``examples/shared_memory_runtime.py``);
 * :mod:`repro.controlplane.reactive` — the closed-loop reactive controller
   the trace replay runs in virtual time: warm-pool scaling, per-tenant
   admission limits, chaos-aware placement, and graceful shedding.
@@ -29,7 +28,6 @@ from repro.controlplane.autoscaler import (
     HierarchyAwareAutoscaler,
     ThresholdAutoscaler,
 )
-from repro.controlplane.coordinator import Coordinator, OrchestrationConfig
 from repro.controlplane.hierarchy import (
     AggregatorSpec,
     HierarchyPlan,
@@ -57,7 +55,6 @@ from repro.controlplane.placement import (
     WorstFitPlacer,
     make_placer,
 )
-from repro.controlplane.reuse import RuntimeHandle, WarmPool
 from repro.controlplane.tag import Channel, TagGraph, TagNode
 
 __all__ = [
@@ -69,7 +66,6 @@ __all__ = [
     "Controller",
     "ControllerConfig",
     "ControllerReport",
-    "Coordinator",
     "DeadlineExceeded",
     "EwmaEstimator",
     "FirstFitPlacer",
@@ -79,15 +75,12 @@ __all__ = [
     "NodeCapacity",
     "NodeHierarchy",
     "NodeMetrics",
-    "OrchestrationConfig",
     "Placer",
     "PlacementPlan",
     "Role",
-    "RuntimeHandle",
     "TagGraph",
     "TagNode",
     "ThresholdAutoscaler",
-    "WarmPool",
     "WorstFitPlacer",
     "make_placer",
     "plan_hierarchy",

@@ -2,8 +2,8 @@
 
 Deployed on every worker node, the agent:
 
-* manages the lifecycle of local aggregators (create / terminate), following
-  coordinator instructions;
+* manages the lifecycle of local aggregators (create / terminate) as the
+  control plane's hierarchy plan dictates;
 * owns the shared-memory object store (allocation / recycling / destruction,
   §4.1) and submits model checkpoints (Appendix B);
 * programs the node's routing state — sockmap entries and SKMSG routes for

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.common.errors import CapacityExceededError, ConfigError
+from repro.common.registry import Registry
 
 
 @dataclass
@@ -121,6 +122,11 @@ class Placer:
         raise NotImplementedError
 
 
+#: placer classes by policy name
+PLACERS: Registry[type[Placer]] = Registry("placer")
+
+
+@PLACERS.register("bestfit")
 class BestFitPlacer(Placer):
     """LIFL's policy: the fullest node that still fits (fewest nodes used).
 
@@ -140,6 +146,7 @@ class BestFitPlacer(Placer):
         return assignments
 
 
+@PLACERS.register("firstfit")
 class FirstFitPlacer(Placer):
     """First node (in fixed order) that fits — cheap, locality-blind."""
 
@@ -155,6 +162,7 @@ class FirstFitPlacer(Placer):
         return assignments
 
 
+@PLACERS.register("worstfit")
 class WorstFitPlacer(Placer):
     """Most-residual-capacity node first — spreads load like Knative's
     "least connection" policy (the SL-H baseline's behaviour in Fig. 8)."""
@@ -174,20 +182,12 @@ class WorstFitPlacer(Placer):
         return assignments
 
 
-_PLACERS = {
-    "bestfit": BestFitPlacer,
-    "firstfit": FirstFitPlacer,
-    "worstfit": WorstFitPlacer,
-    "least-connection": WorstFitPlacer,  # Knative alias
-}
+PLACERS.add("least-connection", WorstFitPlacer)  # Knative alias
 
 
 def make_placer(policy: str) -> Placer:
     """Placer factory by policy name (``bestfit``/``firstfit``/``worstfit``)."""
-    try:
-        return _PLACERS[policy.lower()]()
-    except KeyError:
-        raise ConfigError(f"unknown placement policy {policy!r}; have {sorted(_PLACERS)}") from None
+    return PLACERS.get(policy.lower())()
 
 
 def group_clients_by_node(

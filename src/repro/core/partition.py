@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.common.errors import ConfigError
-from repro.common.fanout import fanout
+from repro.common.fanout import balance, fanout
 from repro.controlplane.hierarchy import HierarchyPlan
 from repro.core.results import RoundResult
 from repro.core.stages import GatewayIngress
@@ -116,12 +116,11 @@ def plan_cohorts(
     """Balance a run's non-root active nodes over at most ``n_shards``
     cohorts.
 
-    Greedy longest-processing-time by per-node update count summed across
-    rounds (the cohort-affine analogue of
-    :func:`repro.traces.shard.plan_shards`'s tenant-affine planning), with
-    deterministic tie-breaks (node name, then shard index).  The effective
-    shard count is capped at the number of non-root active nodes; a
-    single-node run yields zero cohorts — everything belongs to the root
+    :func:`~repro.common.fanout.balance` by per-node update count summed
+    across rounds (the cohort-affine analogue of
+    :func:`repro.traces.shard.plan_shards`'s tenant-affine planning).  The
+    effective shard count is capped at the number of non-root active nodes;
+    a single-node run yields zero cohorts — everything belongs to the root
     phase.
     """
     if n_shards < 1:
@@ -139,18 +138,7 @@ def plan_cohorts(
         for u in updates:
             if u.node != root:
                 counts[u.node] = counts.get(u.node, 0) + 1
-    if not counts:
-        return CohortPlan(root_node=root, assignments=())
-    n = min(n_shards, len(counts))
-    loads = [0] * n
-    members: list[list[str]] = [[] for _ in range(n)]
-    for node in sorted(counts, key=lambda name: (-counts[name], name)):
-        shard = min(range(n), key=lambda i: (loads[i], i))
-        loads[shard] += counts[node]
-        members[shard].append(node)
-    plan = CohortPlan(
-        root_node=root, assignments=tuple(tuple(sorted(m)) for m in members)
-    )
+    plan = CohortPlan(root_node=root, assignments=balance(counts, n_shards))
     plan.validate(rounds)
     return plan
 

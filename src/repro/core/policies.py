@@ -2,8 +2,8 @@
 
 Four decision families steer a serving replay, and each used to be a
 hard-wired method.  This module gives every family a slim ABC and a
-name → factory registry, mirroring how :mod:`repro.core.stages` resolves
-dataplane stages:
+:class:`~repro.common.registry.Registry` (``POLICIES[family]``), the same
+mechanism :mod:`repro.core.stages` resolves dataplane stages with:
 
 * :class:`SelectionPolicy` — which clients participate in a round
   (``availability-aware`` / ``random`` / ``population``);
@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.registry import Registry
 from repro.common.rng import RngRegistry
 
 if TYPE_CHECKING:
@@ -54,7 +55,6 @@ __all__ = [
     "AdmissionPolicy",
     "PlacementPolicy",
     "Policy",
-    "PolicyRegistry",
     "RecoveryContext",
     "RecoveryPolicy",
     "SelectionContext",
@@ -91,59 +91,27 @@ class Policy:
     rng: np.random.Generator | None = None
 
 
-class PolicyRegistry:
-    """``(family, name)`` → policy factory, with stage-registry error
-    semantics: duplicates refuse to register, unknown names raise a
-    :class:`~repro.common.errors.ConfigError` listing what exists."""
-
-    def __init__(self) -> None:
-        self._factories: dict[tuple[str, str], Callable[[], Policy]] = {}
-
-    def register(
-        self, family: str, name: str, factory: Callable[[], Policy]
-    ) -> Callable[[], Policy]:
-        if family not in FAMILIES:
-            raise ConfigError(
-                f"unknown policy family {family!r}; have {list(FAMILIES)}"
-            )
-        if not name:
-            raise ConfigError(f"{family} policy needs a non-empty name")
-        key = (family, name)
-        if key in self._factories:
-            raise ConfigError(f"{family} policy {name!r} already registered")
-        self._factories[key] = factory
-        return factory
-
-    def create(self, family: str, name: str) -> Policy:
-        try:
-            factory = self._factories[(family, name)]
-        except KeyError:
-            raise ConfigError(
-                f"unknown {family} policy {name!r}; have {self.names(family)}"
-            ) from None
-        instance = factory()
-        instance.family = family
-        instance.name = name
-        return instance
-
-    def names(self, family: str) -> list[str]:
-        """Registered names for one family, sorted."""
-        return sorted(n for f, n in self._factories if f == family)
-
-    def families(self) -> list[str]:
-        return [f for f in FAMILIES if any(k[0] == f for k in self._factories)]
+#: the process-wide registries every knob resolves against, one per family
+POLICIES: dict[str, Registry[type[Policy]]] = {
+    family: Registry(f"{family} policy") for family in FAMILIES
+}
 
 
-#: the process-wide registry every knob resolves against
-POLICIES = PolicyRegistry()
+def _family(family: str) -> Registry[type[Policy]]:
+    try:
+        return POLICIES[family]
+    except KeyError:
+        raise ConfigError(
+            f"unknown policy family {family!r}; have {list(FAMILIES)}"
+        ) from None
 
 
 def policy(family: str, name: str) -> Callable[[type], type]:
     """Class decorator: ``@policy("selection", "random")`` registers the
-    class under ``(family, name)``."""
+    class under ``name`` in ``POLICIES[family]``."""
 
     def deco(cls: type) -> type:
-        POLICIES.register(family, name, cls)
+        _family(family).add(name, cls)
         cls.family = family
         cls.name = name
         return cls
@@ -156,7 +124,7 @@ def resolve_policy(
 ) -> Policy:
     """Resolve one policy by name (empty → the family default) and bind
     its registry stream ``policy:<family>:<name>`` when ``rngs`` given."""
-    resolved = POLICIES.create(family, name or DEFAULTS[family])
+    resolved = _family(family).get(name or DEFAULTS[family])()
     if rngs is not None:
         resolved.rng = rngs.stream(f"policy:{family}:{resolved.name}")
     return resolved

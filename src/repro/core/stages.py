@@ -14,18 +14,20 @@ sequences:
   cold starts, reactive-scaling ramp admission, warm reuse and in-round
   role conversion (owns the cross-round warm pool).
 
-Each family has a :class:`StageRegistry`; scenarios register new variants
-under a name and select them via the ``ingress_stage`` / ``transfer_stage``
-/ ``lifecycle_stage`` fields of :class:`~repro.core.platform.PlatformConfig`
-without touching :mod:`repro.core.roundsim`.
+Each family has a :class:`~repro.common.registry.Registry` of stage
+factories; scenarios register new variants under a name and select them
+via the ``ingress_stage`` / ``transfer_stage`` / ``lifecycle_stage``
+fields of :class:`~repro.core.platform.PlatformConfig` without touching
+:mod:`repro.core.roundsim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Generic, TypeVar
+from typing import Callable
 
 from repro.common.errors import ConfigError
+from repro.common.registry import Registry
 from repro.core.platform import IngressKind, PlatformConfig
 from repro.core.updates import SimUpdate
 from repro.dataplane.calibration import DataplaneCalibration
@@ -37,43 +39,6 @@ from repro.dataplane.pipelines import (
 )
 from repro.sim.engine import Environment, Event
 from repro.sim.resources import Resource
-
-T = TypeVar("T")
-
-
-class StageRegistry(Generic[T]):
-    """Name → stage factory, one registry per stage family."""
-
-    def __init__(self, family: str) -> None:
-        self.family = family
-        self._factories: dict[str, Callable[[], T]] = {}
-
-    def register(self, name: str) -> Callable[[Callable[[], T]], Callable[[], T]]:
-        """Decorator: ``@INGRESS_STAGES.register("gateway")`` on a class or
-        zero-argument factory."""
-        if not name:
-            raise ConfigError(f"{self.family} stage needs a non-empty name")
-
-        def deco(factory: Callable[[], T]) -> Callable[[], T]:
-            if name in self._factories:
-                raise ConfigError(f"{self.family} stage {name!r} already registered")
-            self._factories[name] = factory
-            return factory
-
-        return deco
-
-    def create(self, name: str) -> T:
-        try:
-            factory = self._factories[name]
-        except KeyError:
-            raise ConfigError(
-                f"unknown {self.family} stage {name!r}; have {self.names()}"
-            ) from None
-        return factory()
-
-    def names(self) -> list[str]:
-        return sorted(self._factories)
-
 
 # --------------------------------------------------------------------- ingress
 @dataclass(frozen=True)
@@ -142,7 +107,7 @@ class IngressStage:
         return 0.0
 
 
-INGRESS_STAGES: StageRegistry[IngressStage] = StageRegistry("ingress")
+INGRESS_STAGES: Registry[Callable[[], IngressStage]] = Registry("ingress stage")
 
 
 @INGRESS_STAGES.register("gateway")
@@ -326,7 +291,7 @@ def resolve_ingress(cfg: PlatformConfig) -> IngressStage:
             key = "broker-sf"
         else:
             key = "broker-sl"
-    return INGRESS_STAGES.create(key)
+    return INGRESS_STAGES.get(key)()
 
 
 # -------------------------------------------------------------------- transfer
@@ -353,7 +318,7 @@ class TransferStage:
         raise NotImplementedError
 
 
-TRANSFER_STAGES: StageRegistry[TransferStage] = StageRegistry("transfer")
+TRANSFER_STAGES: Registry[Callable[[], TransferStage]] = Registry("transfer stage")
 
 
 @TRANSFER_STAGES.register("calibrated")
@@ -383,7 +348,7 @@ class CalibratedTransferStage(TransferStage):
 
 
 def resolve_transfer(cfg: PlatformConfig) -> TransferStage:
-    return TRANSFER_STAGES.create(cfg.transfer_stage or "calibrated")
+    return TRANSFER_STAGES.get(cfg.transfer_stage or "calibrated")()
 
 
 # ------------------------------------------------------------------- lifecycle
@@ -466,7 +431,7 @@ class LifecycleStage:
         )
 
 
-LIFECYCLE_STAGES: StageRegistry[LifecycleStage] = StageRegistry("lifecycle")
+LIFECYCLE_STAGES: Registry[Callable[[], LifecycleStage]] = Registry("lifecycle stage")
 
 
 @LIFECYCLE_STAGES.register("warm-pool")
@@ -561,4 +526,4 @@ class ResilientLifecycle(WarmPoolLifecycle):
 
 
 def resolve_lifecycle(cfg: PlatformConfig) -> LifecycleStage:
-    return LIFECYCLE_STAGES.create(cfg.lifecycle_stage or "warm-pool")
+    return LIFECYCLE_STAGES.get(cfg.lifecycle_stage or "warm-pool")()

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.registry import Registry
 from repro.fl.fedavg import ModelUpdate
 from repro.fl.model import Model
 
@@ -26,6 +27,11 @@ class ServerOptimizer:
         raise NotImplementedError
 
 
+#: server optimizer classes by name
+SERVER_OPTIMIZERS: Registry[type[ServerOptimizer]] = Registry("server optimizer")
+
+
+@SERVER_OPTIMIZERS.register("fedavg")
 class FedAvgServer(ServerOptimizer):
     """Vanilla FedAvg: the new global model *is* the weighted average."""
 
@@ -72,6 +78,7 @@ class _AdaptiveServer(ServerOptimizer):
         raise NotImplementedError
 
 
+@SERVER_OPTIMIZERS.register("fedadagrad")
 class FedAdagrad(_AdaptiveServer):
     """v accumulates: v ← v + Δ²."""
 
@@ -79,6 +86,7 @@ class FedAdagrad(_AdaptiveServer):
         return v + d2
 
 
+@SERVER_OPTIMIZERS.register("fedadam")
 class FedAdam(_AdaptiveServer):
     """v is an EMA: v ← β₂ v + (1 − β₂) Δ²."""
 
@@ -86,6 +94,7 @@ class FedAdam(_AdaptiveServer):
         return self.beta2 * v + (1.0 - self.beta2) * d2
 
 
+@SERVER_OPTIMIZERS.register("fedyogi")
 class FedYogi(_AdaptiveServer):
     """Yogi's sign-controlled update: v ← v − (1 − β₂) Δ² sign(v − Δ²)."""
 
@@ -93,22 +102,9 @@ class FedYogi(_AdaptiveServer):
         return v - (1.0 - self.beta2) * d2 * np.sign(v - d2)
 
 
-_SERVER_OPTS = {
-    "fedavg": FedAvgServer,
-    "fedadagrad": FedAdagrad,
-    "fedadam": FedAdam,
-    "fedyogi": FedYogi,
-}
-
-
 def make_server_optimizer(name: str, **kwargs: float) -> ServerOptimizer:
     """Factory by name (``fedavg``/``fedadagrad``/``fedadam``/``fedyogi``)."""
-    try:
-        cls = _SERVER_OPTS[name.lower()]
-    except KeyError:
-        raise ConfigError(
-            f"unknown server optimizer {name!r}; have {sorted(_SERVER_OPTS)}"
-        ) from None
+    cls = SERVER_OPTIMIZERS.get(name.lower())
     return cls(**kwargs) if kwargs else cls()
 
 

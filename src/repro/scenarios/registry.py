@@ -33,6 +33,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.common.errors import ConfigError
+from repro.common.registry import Registry
 from repro.common.rng import make_rng
 
 #: a run function: receives one expanded grid point, returns JSON rows
@@ -111,7 +112,7 @@ def derive_seed(campaign_seed: int, scenario: str, index: int) -> int:
     return int(make_rng(campaign_seed, f"run:{scenario}:{index}").integers(0, 2**31 - 1))
 
 
-_REGISTRY: dict[str, ScenarioSpec] = {}
+_SCENARIOS: Registry[ScenarioSpec] = Registry("scenario")
 
 
 def scenario(
@@ -133,14 +134,7 @@ def scenario(
     """
 
     def deco(fn: RunFn) -> RunFn:
-        if name in _REGISTRY:
-            # ``python -m repro.experiments.figXX`` imports the package
-            # (which registers the scenario) and then re-executes the same
-            # module as __main__; that re-registration is benign.  Two
-            # different modules claiming one name is a real error.
-            if fn.__module__ != "__main__":
-                raise ConfigError(f"scenario {name!r} already registered")
-        _REGISTRY[name] = ScenarioSpec(
+        spec = ScenarioSpec(
             name=name,
             title=title,
             run=fn,
@@ -152,6 +146,12 @@ def scenario(
             description=(fn.__doc__ or "").strip().splitlines()[0] if fn.__doc__ else "",
             tags=tuple(tags),
         )
+        # ``python -m repro.experiments.figXX`` imports the package (which
+        # registers the scenario) and then re-executes the same module as
+        # __main__; that re-registration is benign and the package's spec
+        # stays.  Two different modules claiming one name is a real error.
+        if fn.__module__ != "__main__" or name not in _SCENARIOS.names():
+            _SCENARIOS.add(name, spec)
         return fn
 
     return deco
@@ -159,18 +159,13 @@ def scenario(
 
 def get_scenario(name: str) -> ScenarioSpec:
     discover()
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown scenario {name!r}; have {sorted(_REGISTRY)}"
-        ) from None
+    return _SCENARIOS.get(name)
 
 
 def all_scenarios() -> list[ScenarioSpec]:
     """Every registered scenario, in registration order."""
     discover()
-    return list(_REGISTRY.values())
+    return _SCENARIOS.values()
 
 
 def match_scenarios(prefixes: Sequence[str] | None) -> list[ScenarioSpec]:

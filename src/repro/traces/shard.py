@@ -51,11 +51,7 @@ from dataclasses import field as dataclass_field
 from typing import TYPE_CHECKING, Callable
 
 from repro.common.errors import ConfigError
-from repro.common.fanout import fanout
-from repro.core.partition import CohortPlan, plan_cohorts  # noqa: F401 - re-export:
-# plan_shards splits *tenants* across serving cells; plan_cohorts (one layer
-# down, in repro.core.partition) splits a single round's *cohort* across
-# worker processes along the HierarchyPlan boundary.
+from repro.common.fanout import balance, fanout
 from repro.perf.counters import CounterCarrier, EngineCounters, collect, maybe_register
 from repro.telemetry.bus import (
     RecordingSubscriber,
@@ -79,13 +75,11 @@ if TYPE_CHECKING:  # import-light, mirroring replay.py
     from repro.traces.replay import ChaosCorrelation
 
 __all__ = [
-    "CohortPlan",
     "ShardPlan",
     "ShardReport",
     "ShardedReplayEngine",
     "ShardedReplayResult",
     "fold_results",
-    "plan_cohorts",
     "plan_shards",
     "replay_cell",
     "split_trace",
@@ -122,9 +116,8 @@ class ShardPlan:
 def plan_shards(trace: Trace, n_shards: int) -> ShardPlan:
     """Balance whole tenants across at most ``n_shards`` shards.
 
-    Greedy longest-processing-time by per-tenant event count: tenants are
-    taken heaviest first and each lands on the least-loaded shard, with
-    deterministic tie-breaks (tenant id, then shard index).  The effective
+    :func:`~repro.common.fanout.balance` by per-tenant event count (greedy
+    longest-processing-time, deterministic tie-breaks).  The effective
     shard count is capped at the number of tenants with events — a
     single-tenant trace always yields one shard, whatever was asked for.
     """
@@ -133,16 +126,7 @@ def plan_shards(trace: Trace, n_shards: int) -> ShardPlan:
     counts: dict[int, int] = {}
     for ev in trace.events:
         counts[ev.tenant] = counts.get(ev.tenant, 0) + 1
-    if not counts:
-        return ShardPlan(assignments=())
-    n = min(n_shards, len(counts))
-    loads = [0] * n
-    members: list[list[int]] = [[] for _ in range(n)]
-    for tenant in sorted(counts, key=lambda t: (-counts[t], t)):
-        shard = min(range(n), key=lambda i: (loads[i], i))
-        loads[shard] += counts[tenant]
-        members[shard].append(tenant)
-    return ShardPlan(assignments=tuple(tuple(sorted(m)) for m in members))
+    return ShardPlan(assignments=balance(counts, n_shards))
 
 
 def split_trace(trace: Trace, tenants: tuple[int, ...]) -> Trace:

@@ -1,4 +1,4 @@
-"""Metrics server, node agent, and the coordinator's orchestration cycle."""
+"""Metrics server and the per-node agent of the real runtime."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 
 from repro.common.errors import ConfigError, RoutingError
 from repro.controlplane.agent import NodeAgent
-from repro.controlplane.coordinator import Coordinator, OrchestrationConfig
 from repro.controlplane.hierarchy import plan_hierarchy
 from repro.controlplane.metrics import MetricsServer
 
@@ -40,45 +39,6 @@ def test_metrics_server_validation():
         ms.report("ghost", 1.0, 1.0)
     with pytest.raises(ConfigError):
         ms.report("node0", -1.0, 1.0)
-
-
-def test_coordinator_cycle_packs_and_plans():
-    coord = Coordinator(make_metrics())
-    d = coord.orchestrate(20)
-    assert d.nodes_used == 1  # bestfit packs MC=20 onto one node
-    assert d.hierarchy.top_node
-    assert d.tag is not None
-    assert d.cold_starts == len(d.assignments)  # first cycle: all cold
-
-
-def test_coordinator_reuse_across_cycles():
-    coord = Coordinator(make_metrics())
-    d1 = coord.orchestrate(20)
-    coord.release_round(d1)
-    d2 = coord.orchestrate(20)
-    assert d2.cold_starts == 0
-    assert d2.reused == len(d2.assignments)
-    assert d2.aggregators_created == 0
-
-
-def test_coordinator_without_reuse_always_cold():
-    coord = Coordinator(make_metrics(), OrchestrationConfig(reuse_runtimes=False))
-    d1 = coord.orchestrate(20)
-    coord.release_round(d1)
-    d2 = coord.orchestrate(20)
-    assert d2.cold_starts == len(d2.assignments)
-
-
-def test_coordinator_worstfit_spreads():
-    coord = Coordinator(make_metrics(), OrchestrationConfig(placement_policy="worstfit"))
-    d = coord.orchestrate(20)
-    assert d.nodes_used == 5
-
-
-def test_coordinator_requires_nodes():
-    coord = Coordinator(MetricsServer())
-    with pytest.raises(ConfigError):
-        coord.orchestrate(10)
 
 
 def test_agent_registers_and_routes(tmp_path):

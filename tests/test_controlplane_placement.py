@@ -96,8 +96,10 @@ def test_assignments_align_with_input_order():
 def test_make_placer_factory():
     assert isinstance(make_placer("bestfit"), BestFitPlacer)
     assert isinstance(make_placer("least-connection"), WorstFitPlacer)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown placer 'nope'") as err:
         make_placer("nope")
+    for name in ("bestfit", "firstfit", "least-connection", "worstfit"):
+        assert name in str(err.value)
 
 
 def test_no_nodes_raises():

@@ -1,70 +1,12 @@
-"""Warm-pool reuse (§5.3) and the Topology Abstraction Graph (App. D)."""
+"""The Topology Abstraction Graph (App. D)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.controlplane.hierarchy import Role, plan_hierarchy
-from repro.controlplane.reuse import WarmPool
+from repro.controlplane.hierarchy import plan_hierarchy
 from repro.controlplane.tag import ChannelMechanism, TagGraph
-
-
-def test_acquire_cold_then_reuse():
-    pool = WarmPool()
-    h1, cold = pool.acquire("node0", Role.LEAF)
-    assert cold and pool.cold_starts == 1
-    pool.release(h1)
-    h2, cold2 = pool.acquire("node0", Role.MIDDLE)
-    assert not cold2 and pool.reuses == 1
-    assert h2 is h1
-    assert h2.role is Role.MIDDLE  # converted, not restarted
-    assert h2.generation == 1
-
-
-def test_reuse_is_per_node():
-    pool = WarmPool()
-    h, _ = pool.acquire("node0", Role.LEAF)
-    pool.release(h)
-    _, cold = pool.acquire("node1", Role.LEAF)
-    assert cold  # warm runtime on node0 cannot serve node1
-
-
-def test_keep_warm_disabled_terminates():
-    pool = WarmPool(keep_warm=False)
-    h, _ = pool.acquire("node0", Role.LEAF)
-    pool.release(h)
-    assert pool.terminations == 1
-    _, cold = pool.acquire("node0", Role.LEAF)
-    assert cold
-
-
-def test_lifo_reuse_order():
-    pool = WarmPool()
-    a, _ = pool.acquire("n", Role.LEAF)
-    b, _ = pool.acquire("n", Role.LEAF)
-    pool.release(a)
-    pool.release(b)
-    got, _ = pool.acquire("n", Role.MIDDLE)
-    assert got is b  # most recently idled first
-
-
-def test_prewarm_stocks_pool():
-    pool = WarmPool()
-    pool.prewarm("node0", 3)
-    assert pool.idle_count("node0") == 3
-    _, cold = pool.acquire("node0", Role.LEAF)
-    assert not cold
-    with pytest.raises(ConfigError):
-        pool.prewarm("node0", -1)
-
-
-def test_evict_node():
-    pool = WarmPool()
-    pool.prewarm("node0", 4)
-    assert pool.evict_node("node0") == 4
-    assert pool.idle_count("node0") == 0
-    assert pool.total_idle() == 0
 
 
 # ---- TAG ---------------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.core.policies import (
     POLICIES,
     AdmissionContext,
     Policy,
-    PolicyRegistry,
     SelectionPolicy,
     policy,
     resolve_policy,
@@ -31,55 +30,56 @@ def _platform(**overrides) -> AggregationPlatform:
 
 # ------------------------------------------------------------------ registry
 def test_registry_catalogue_has_every_ported_policy():
-    assert POLICIES.families() == ["selection", "placement", "admission", "recovery"]
+    assert list(POLICIES) == ["selection", "placement", "admission", "recovery"]
     # The conformance suite imports examples/custom_policy.py, which adds
     # "freshest-first" — the built-in selection catalogue must be there
     # regardless of whether that import happened first.
-    selection = [n for n in POLICIES.names("selection") if n != "freshest-first"]
+    selection = [n for n in POLICIES["selection"].names() if n != "freshest-first"]
     assert selection == [
         "availability-aware",
         "population",
         "random",
     ]
-    assert POLICIES.names("placement") == ["locality", "lpt"]
-    assert POLICIES.names("admission") == [
+    assert POLICIES["placement"].names() == ["locality", "lpt"]
+    assert POLICIES["admission"].names() == [
         "bounded-queue",
         "defer-with-deadline",
         "drop-head",
         "drop-tail",
     ]
-    assert POLICIES.names("recovery") == ["abort-fast", "shrink-or-abort"]
+    assert POLICIES["recovery"].names() == ["abort-fast", "shrink-or-abort"]
     for family, name in DEFAULTS.items():
-        assert name in POLICIES.names(family)
+        assert name in POLICIES[family].names()
 
 
 def test_create_stamps_family_and_name():
-    instance = POLICIES.create("admission", "drop-head")
+    instance = POLICIES["admission"].get("drop-head")()
     assert (instance.family, instance.name) == ("admission", "drop-head")
 
 
 def test_unknown_policy_name_lists_available():
     with pytest.raises(ConfigError) as err:
-        POLICIES.create("selection", "round-robin")
+        POLICIES["selection"].get("round-robin")
     message = str(err.value)
     assert "round-robin" in message
-    for name in POLICIES.names("selection"):
+    for name in POLICIES["selection"].names():
         assert name in message
 
 
 def test_duplicate_registration_raises():
-    fresh = PolicyRegistry()
-    fresh.register("admission", "x", Policy)
+    before = POLICIES["admission"].names()
     with pytest.raises(ConfigError, match="already registered"):
-        fresh.register("admission", "x", Policy)
+        policy("admission", "drop-head")(type("Twin", (Policy,), {}))
+    assert POLICIES["admission"].names() == before
+    assert POLICIES["admission"].get("drop-head").__name__ != "Twin"
 
 
 def test_unknown_family_and_empty_name_refuse_registration():
-    fresh = PolicyRegistry()
     with pytest.raises(ConfigError, match="unknown policy family"):
-        fresh.register("scheduling", "x", Policy)
+        policy("scheduling", "x")(type("Scheduler", (Policy,), {}))
     with pytest.raises(ConfigError, match="non-empty name"):
-        fresh.register("admission", "", Policy)
+        policy("admission", "")(type("Nameless", (Policy,), {}))
+    assert "" not in POLICIES["admission"].names()
 
 
 def test_resolve_empty_name_lands_on_default_and_binds_stream():
@@ -223,7 +223,7 @@ def test_policy_drawing_global_rng_breaks_seeded_replay():
         good = [_replay(ReplayConfig(), seed=11).run().row() for _ in range(2)]
         assert good[0] == good[1]
     finally:
-        del POLICIES._factories[("selection", "rogue-global-rng")]
+        del POLICIES["selection"]._entries["rogue-global-rng"]
 
 
 def test_admission_context_is_frozen():

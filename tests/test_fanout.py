@@ -3,7 +3,8 @@
 The engines' own tests cover a shard whose task raises; these cover what
 they do not reach: a worker that dies without reporting, results larger
 than the pipe buffer, task order across workers, and one error naming
-every failed task.
+every failed task.  The LPT balancer that plans the shard and cohort
+groups is covered here too.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 
 import pytest
 
-from repro.common.fanout import FanoutError, can_fork, fanout
+from repro.common.fanout import FanoutError, balance, can_fork, fanout
 
 forking = pytest.mark.skipif(not can_fork(), reason="fork start method unavailable")
 
@@ -65,3 +66,13 @@ def test_error_names_every_failed_task():
     msg = str(err.value)
     assert "ValueError: odd 1" in msg and "task 3: " in msg
     assert "ValueError: odd 3" in msg and "task 0" not in msg
+
+
+def test_balance_is_greedy_lpt_with_deterministic_ties():
+    # heaviest first onto the lightest group: c(5)→g0, a(3)→g1, b(3)→g1,
+    # d(1)→g0 (loads 5/6), e(1)→g0 (6/6, tie goes to the lower index)
+    weights = {"a": 3, "b": 3, "c": 5, "d": 1, "e": 1}
+    assert balance(weights, 2) == (("c", "d", "e"), ("a", "b"))
+    # equal weights go by key, not by insertion order
+    assert balance({"b": 2, "a": 2, "d": 1, "c": 1}, 2) == (("a", "c"), ("b", "d"))
+

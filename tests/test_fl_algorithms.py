@@ -60,8 +60,10 @@ def test_optimizer_factory():
     assert isinstance(make_server_optimizer("FedYogi"), FedYogi)
     opt = make_server_optimizer("fedadam", eta=0.5)
     assert opt.eta == 0.5
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unknown server optimizer 'sgd'") as err:
         make_server_optimizer("sgd")
+    for name in ("fedadagrad", "fedadam", "fedavg", "fedyogi"):
+        assert name in str(err.value)
 
 
 def test_adaptive_validation():

@@ -1,6 +1,6 @@
 """Conformance properties every registered policy must satisfy.
 
-The suite introspects the live registry (``POLICIES.names(family)``), so
+The suite introspects the live registry (``POLICIES[family].names()``), so
 any policy registered anywhere — the built-ins, and the runnable
 ``examples/custom_policy.py`` policy which is imported below — is held
 to the same contract:
@@ -47,7 +47,7 @@ from repro.workloads.fedscale import MOBILE_PROFILE, make_population
 # built-ins (guarded: pytest may import this module more than once, and
 # the registry refuses duplicates).
 _EXAMPLE = pathlib.Path(__file__).resolve().parents[1] / "examples" / "custom_policy.py"
-if "freshest-first" not in POLICIES.names("selection"):
+if "freshest-first" not in POLICIES["selection"].names():
     _spec = importlib.util.spec_from_file_location("custom_policy_example", _EXAMPLE)
     _mod = importlib.util.module_from_spec(_spec)
     _spec.loader.exec_module(_mod)
@@ -85,11 +85,11 @@ def _ctx(at: float) -> SelectionContext:
 
 
 # ================================================================= selection
-@pytest.mark.parametrize("name", POLICIES.names("selection"))
+@pytest.mark.parametrize("name", POLICIES["selection"].names())
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**20), at=st.floats(0.0, HORIZON - 1e-6))
 def test_selection_returns_valid_unique_subset(name: str, seed: int, at: float):
-    pol = POLICIES.create("selection", name)
+    pol = POLICIES["selection"].get(name)()
     ctx = _ctx(at)
     picked = pol.select(ctx, make_rng(seed, "conformance"))
     picked_list = [int(p) for p in picked] if isinstance(picked, np.ndarray) else list(picked)
@@ -110,9 +110,9 @@ def test_selection_returns_valid_unique_subset(name: str, seed: int, at: float):
     assert all(float(w) > 0 for w in weights)
 
 
-@pytest.mark.parametrize("name", POLICIES.names("selection"))
+@pytest.mark.parametrize("name", POLICIES["selection"].names())
 def test_selection_is_a_pure_function_of_its_rng(name: str):
-    pol = POLICIES.create("selection", name)
+    pol = POLICIES["selection"].get(name)()
     for at in (3.0, 47.0, 101.0):
         first = pol.select(_ctx(at), make_rng(99, "conformance"))
         second = pol.select(_ctx(at), make_rng(99, "conformance"))
@@ -129,14 +129,14 @@ _ARRIVALS = st.lists(
 )
 
 
-@pytest.mark.parametrize("name", POLICIES.names("placement"))
+@pytest.mark.parametrize("name", POLICIES["placement"].names())
 @settings(max_examples=20, deadline=None)
 @given(arrivals=_ARRIVALS, restrict=st.integers(1, len(NODES)))
 def test_placement_covers_arrivals_and_respects_nodes(
     name: str, arrivals: list, restrict: int
 ):
     platform = AggregationPlatform(PlatformConfig.lifl(), node_names=NODES)
-    pol = POLICIES.create("placement", name)
+    pol = POLICIES["placement"].get(name)()
     allowed = NODES[:restrict]
     updates, plan = pol.place(platform, arrivals, nbytes=1e6, nodes=allowed)
     # Exactly-once coverage, in deterministic arrival order.
@@ -167,7 +167,7 @@ _REGION_NODES = {
 _ALL_REGION_NODES = [n for nodes in _REGION_NODES.values() for n in nodes]
 
 
-@pytest.mark.parametrize("name", POLICIES.names("placement"))
+@pytest.mark.parametrize("name", POLICIES["placement"].names())
 @settings(max_examples=20, deadline=None)
 @given(
     arrivals=_ARRIVALS,
@@ -192,7 +192,7 @@ def test_placement_respects_region_restricted_node_sets(
     platform = AggregationPlatform(
         PlatformConfig.lifl(), node_names=_ALL_REGION_NODES
     )
-    pol = POLICIES.create("placement", name)
+    pol = POLICIES["placement"].get(name)()
     updates, plan = pol.place(platform, arrivals, nbytes=1e6, nodes=list(allowed))
     assert len(updates) == len(arrivals)
     used = {u.node for u in updates}
@@ -216,7 +216,7 @@ def test_placement_nodes_refuses_dead_ends():
 
 
 # ================================================================= admission
-@pytest.mark.parametrize("name", POLICIES.names("admission"))
+@pytest.mark.parametrize("name", POLICIES["admission"].names())
 @settings(max_examples=30, deadline=None)
 @given(
     queue_limit=st.integers(0, 6),
@@ -228,7 +228,7 @@ def test_admission_respects_bounds_and_never_starves(
     name: str, queue_limit: int, fill: float, deadline: float, now: float
 ):
     queue_len = min(queue_limit, int(fill * (queue_limit + 1)))
-    pol = POLICIES.create("admission", name)
+    pol = POLICIES["admission"].get(name)()
     decision = pol.decide(
         AdmissionContext(
             tenant=0,
@@ -248,7 +248,7 @@ def test_admission_respects_bounds_and_never_starves(
         )
 
 
-@pytest.mark.parametrize("name", POLICIES.names("admission"))
+@pytest.mark.parametrize("name", POLICIES["admission"].names())
 def test_admission_end_to_end_conserves_every_arrival(name: str):
     """Under heavy overload every arrival still reaches exactly one
     terminal outcome — the serving loop enforces the queue bound (it
@@ -275,13 +275,13 @@ def test_admission_end_to_end_conserves_every_arrival(name: str):
 
 
 # ================================================================== recovery
-@pytest.mark.parametrize("name", POLICIES.names("recovery"))
+@pytest.mark.parametrize("name", POLICIES["recovery"].names())
 @settings(max_examples=30, deadline=None)
 @given(total=st.integers(1, 64), data=st.data())
 def test_recovery_always_terminates_below_quorum(name: str, total: int, data):
     quorum = data.draw(st.integers(1, total))
     survivors = data.draw(st.integers(0, total))
-    pol = POLICIES.create("recovery", name)
+    pol = POLICIES["recovery"].get(name)()
     verdict = pol.on_client_failed(
         RecoveryContext(
             client_id="c0", survivors=survivors, quorum=quorum, total=total
@@ -296,7 +296,7 @@ def test_recovery_always_terminates_below_quorum(name: str, total: int, data):
         )
 
 
-@pytest.mark.parametrize("name", POLICIES.names("recovery"))
+@pytest.mark.parametrize("name", POLICIES["recovery"].names())
 def test_recovery_end_to_end_never_hangs_a_round(name: str):
     """Serve through aggressive correlated dropout waves: every round
     must end — completed (possibly goal-shrunk) or typed abort."""

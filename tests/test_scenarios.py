@@ -15,6 +15,7 @@ from repro.scenarios.registry import (
     derive_seed,
     get_scenario,
     match_scenarios,
+    scenario,
 )
 from repro.scenarios.runner import CampaignRunner, run_scenario
 
@@ -60,6 +61,31 @@ def test_prefix_match_preserved():
 def test_unknown_scenario_raises():
     with pytest.raises(ConfigError, match="unknown scenario"):
         get_scenario("does-not-exist")
+
+
+def _stand_in(run: ScenarioRun) -> list[dict]:
+    return []
+
+
+def test_second_module_claiming_a_taken_name_raises():
+    original = get_scenario("fig04")
+    with pytest.raises(ConfigError, match="already registered"):
+        scenario(name="fig04", title="impostor")(_stand_in)
+    assert get_scenario("fig04") is original
+
+
+def test_main_module_rerun_is_tolerated():
+    """``python -m repro.experiments.figXX`` re-executes the registering
+    module as ``__main__``; the re-registration must not raise, and the
+    name still resolves to the package's spec afterwards."""
+    original = get_scenario("fig04")
+
+    def fig04(run: ScenarioRun) -> list[dict]:
+        return []
+
+    fig04.__module__ = "__main__"
+    assert scenario(name="fig04", title="re-run")(fig04) is fig04
+    assert get_scenario("fig04") is original
 
 
 def test_grid_expansion_order_and_seeds():
