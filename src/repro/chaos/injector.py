@@ -4,9 +4,9 @@ Two cooperating pieces:
 
 * :class:`FaultInjector` — turns a :class:`~repro.chaos.plan.FaultPlan`
   into a timeline process on the round's environment: it kills aggregator
-  instances (restarted statelessly through the lifecycle stage), interrupts
-  client ingress (dropout waves), and drives the fabric's rate-rescale /
-  partition hooks for NIC and straggler windows.
+  instances (restarted statelessly through the engine's instance
+  lifecycle), interrupts client ingress (dropout waves), and drives the
+  fabric's rate-rescale / partition hooks for NIC and straggler windows.
 * :class:`RecoveryController` — one per tenant, the paper's §3 recovery
   loop: a :class:`~repro.fl.failures.HeartbeatMonitor` tracks keep-alives
   (clients check in at round start, beat while alive, and go silent when a
@@ -37,7 +37,6 @@ from repro.common.errors import ChaosError, RoundAbort
 from repro.common.rng import make_rng
 from repro.core.aggregator import InstanceState
 from repro.core.policies import RecoveryContext, resolve_policy
-from repro.core.stages import LifecycleStage
 from repro.fl.failures import HeartbeatMonitor
 from repro.sim.engine import Environment, Process
 
@@ -188,13 +187,6 @@ class FaultInjector:
     def install(self, env: Environment, fabric: Fabric, engine, tenants: list) -> None:
         plan = self.plan
         self._env = env
-        if plan.crashes:
-            lifecycle = engine.lifecycle
-            if type(lifecycle).restart_instance is LifecycleStage.restart_instance:
-                raise ChaosError(
-                    f"lifecycle stage {lifecycle.name!r} cannot restart crashed "
-                    f"aggregators; configure lifecycle_stage='resilient'"
-                )
         known_nodes = set(engine.node_names)
         for ev in (*plan.nic_degradations, *plan.slow_nodes):
             if ev.node not in known_nodes:

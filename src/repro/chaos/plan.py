@@ -28,7 +28,7 @@ class AggregatorCrash:
     ``node`` restricts victims to one worker node (any node when empty);
     ``role`` restricts to ``"leaf"`` / ``"middle"`` / ``"top"``.  Victims
     are drawn seeded from the live candidates; each is restarted through
-    the lifecycle stage's stateless-restart path (§3).
+    the instance lifecycle's stateless-restart path (§3).
     """
 
     at: float

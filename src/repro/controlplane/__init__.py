@@ -5,12 +5,12 @@ under test in Fig. 8 and the §6.1 overhead measurements:
 
 * :mod:`repro.controlplane.placement` — locality-aware placement as
   bin-packing over residual service capacity (§5.1): BestFit (LIFL),
-  FirstFit, WorstFit (≈ Knative "least connection", the SL-H baseline);
+  FirstFit, WorstFit (≈ Knative "least connection", the SL-H baseline),
+  LPT (least-assigned node first);
 * :mod:`repro.controlplane.hierarchy` — two-level k-ary hierarchy plans per
   node (§5.2);
-* :mod:`repro.controlplane.autoscaler` — hierarchy-aware autoscaling with
-  EWMA-smoothed queue estimates (§5.2), plus the threshold autoscaler
-  baseline (§2.3);
+* :mod:`repro.controlplane.autoscaler` — the EWMA queue-estimate smoother
+  behind hierarchy-aware autoscaling (§5.2);
 * :mod:`repro.controlplane.tag` — the Topology Abstraction Graph used for
   fine-grained control (Appendix D);
 * :mod:`repro.controlplane.metrics` — the metrics server fed by the
@@ -23,11 +23,7 @@ under test in Fig. 8 and the §6.1 overhead measurements:
   admission limits, chaos-aware placement, and graceful shedding.
 """
 
-from repro.controlplane.autoscaler import (
-    EwmaEstimator,
-    HierarchyAwareAutoscaler,
-    ThresholdAutoscaler,
-)
+from repro.controlplane.autoscaler import EwmaEstimator
 from repro.controlplane.hierarchy import (
     AggregatorSpec,
     HierarchyPlan,
@@ -49,6 +45,7 @@ from repro.controlplane.reactive import (
 from repro.controlplane.placement import (
     BestFitPlacer,
     FirstFitPlacer,
+    LptPlacer,
     NodeCapacity,
     Placer,
     PlacementPlan,
@@ -69,8 +66,8 @@ __all__ = [
     "DeadlineExceeded",
     "EwmaEstimator",
     "FirstFitPlacer",
-    "HierarchyAwareAutoscaler",
     "HierarchyPlan",
+    "LptPlacer",
     "MetricsServer",
     "NodeCapacity",
     "NodeHierarchy",
@@ -80,7 +77,6 @@ __all__ = [
     "Role",
     "TagGraph",
     "TagNode",
-    "ThresholdAutoscaler",
     "WorstFitPlacer",
     "make_placer",
     "plan_hierarchy",

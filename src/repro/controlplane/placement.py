@@ -9,10 +9,13 @@ clients producing them) onto worker nodes with two criteria:
 
 LIFL treats this as bin-packing and uses **BestFit** — concentrate load onto
 the fewest nodes.  **WorstFit** spreads load (the Knative "least connection"
-behaviour of the SL-H baseline in Fig. 8), and **FirstFit** minimizes search
-cost without locality awareness.  All three are implemented below behind one
-interface so the Fig. 8 ablation and the §6.1 overhead benchmark (< 17 ms
-for 10K clients) run the same code paths.
+behaviour of the SL-H baseline in Fig. 8), **FirstFit** minimizes search
+cost without locality awareness, and **LPT** balances per-node load
+(least-assigned node first).  All of them are implemented below behind one
+interface and one registry (:data:`PLACERS`, selected by
+``PlatformConfig.placement_policy``) so the Fig. 8 ablation, the policy
+tournament and the §6.1 overhead benchmark (< 17 ms for 10K clients) run
+the same code paths.
 """
 
 from __future__ import annotations
@@ -185,8 +188,28 @@ class WorstFitPlacer(Placer):
 PLACERS.add("least-connection", WorstFitPlacer)  # Knative alias
 
 
+@PLACERS.register("lpt")
+class LptPlacer(Placer):
+    """Longest-processing-time spread: each update lands on the node with
+    the fewest updates so far (ties in fleet order) while it has a free
+    slot, balancing per-node load at the cost of locality — more leaves,
+    more cross-node intermediate transfers."""
+
+    name = "lpt"
+
+    def _fill(self, order: Sequence[str], slots: dict[str, int], n: int) -> list[str]:
+        heap = [(0, i, name) for i, name in enumerate(order) if slots[name] >= 1]
+        assignments: list[str] = []
+        while heap and len(assignments) < n:
+            load, idx, name = heapq.heappop(heap)
+            assignments.append(name)
+            if load + 1 < slots[name]:
+                heapq.heappush(heap, (load + 1, idx, name))
+        return assignments
+
+
 def make_placer(policy: str) -> Placer:
-    """Placer factory by policy name (``bestfit``/``firstfit``/``worstfit``)."""
+    """Placer factory by policy name (any :data:`PLACERS` key)."""
     return PLACERS.get(policy.lower())()
 
 

@@ -23,7 +23,6 @@ the object the experiments drive.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from repro.cluster.node import NodeSpec
 from repro.common.errors import ConfigError
@@ -34,16 +33,36 @@ from repro.controlplane.hierarchy import (
     plan_hierarchy,
 )
 from repro.controlplane.placement import make_placer, NodeCapacity
-from repro.core.policies import resolve_policy
 from repro.core.results import RoundResult
 from repro.core.updates import SimUpdate
 from repro.dataplane.calibration import DEFAULT_CALIBRATION, DataplaneCalibration
 from repro.dataplane.pipelines import PipelineKind
 
-
-class IngressKind(str, Enum):
-    GATEWAY = "gateway"  # LIFL: per-node gateway into shared memory
-    BROKER = "broker"  # SF/SL: shared stateful broker
+#: the lowest legal value of every range-checked :class:`PlatformConfig` field
+_MINIMUMS = {
+    "updates_per_leaf": 1,
+    "broker_cores": 1,
+    "gateway_max_cores": 1,
+    **dict.fromkeys(
+        (
+            "cold_start_latency",
+            "cold_start_cpu",
+            "ramp_delay",
+            "fixed_instances",
+            "static_leaf_nodes",
+            "instance_reserved_cores",
+            "sidecar_reserved_cores",
+            "broker_reserved_cores",
+            "gateway_reserved_cores",
+            "chain_overhead_fixed_per_update",
+            "chain_overhead_per_byte",
+            "chain_overhead_cores",
+            "sidecar_linger",
+            "warm_idle_reserved_cores",
+        ),
+        0,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -52,7 +71,9 @@ class PlatformConfig:
 
     name: str
     pipeline: PipelineKind
-    ingress: IngressKind
+    #: bin-packing placer name from
+    #: :data:`~repro.controlplane.placement.PLACERS` (§5.1): how a round's
+    #: updates are mapped to nodes before the hierarchy is planned
     placement_policy: str = "bestfit"
     #: ① locality-aware placement: aggregators are placed on the nodes
     #: where their input updates were queued (data-centric, §5.1).  When
@@ -95,27 +116,17 @@ class PlatformConfig:
     #: idle-but-warm pooled runtimes still hold their pod allocation
     #: (only the eBPF sidecar is free); LIFL pays this small keep-warm tax
     warm_idle_reserved_cores: float = 0.0
-    #: explicit stage-registry keys (see repro.core.stages).  Empty string
-    #: means "derive from the fields above": ingress from
-    #: (ingress, pipeline), transfer "calibrated", lifecycle "warm-pool".
-    #: Scenarios register new stage variants and select them here without
-    #: touching the round engine.
+    #: explicit ingress-stage key (see repro.core.stages).  Empty string
+    #: derives the stage from ``pipeline``: gateway for LIFL, the shared
+    #: broker for SF and SL.  Scenarios register new ingress variants and
+    #: select them here without touching the round engine.
     ingress_stage: str = ""
-    transfer_stage: str = ""
-    lifecycle_stage: str = ""
-    #: round-placement policy name from the ``"placement"`` family of
-    #: :mod:`repro.core.policies` (how a whole round's updates are mapped
-    #: to nodes and planned — distinct from ``placement_policy``, the
-    #: bin-packing placer the ``locality`` policy delegates to).  Empty
-    #: string resolves the default, ``"locality"``, which reproduces the
-    #: pre-registry behaviour byte for byte.
-    round_placement: str = ""
 
     def __post_init__(self) -> None:
-        if self.updates_per_leaf < 1:
-            raise ConfigError("updates_per_leaf must be >= 1")
-        if self.cold_start_latency < 0 or self.ramp_delay < 0:
-            raise ConfigError("latencies must be non-negative")
+        for name, low in _MINIMUMS.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
     # -- presets ---------------------------------------------------------------
     @staticmethod
@@ -124,7 +135,6 @@ class PlatformConfig:
         cfg = PlatformConfig(
             name="lifl",
             pipeline=PipelineKind.LIFL,
-            ingress=IngressKind.GATEWAY,
             warm_idle_reserved_cores=0.05,
         )
         return replace(cfg, **overrides) if overrides else cfg
@@ -136,7 +146,6 @@ class PlatformConfig:
         cfg = PlatformConfig(
             name="sf",
             pipeline=PipelineKind.SERVERFUL,
-            ingress=IngressKind.BROKER,
             placement_policy="worstfit",  # spread over the static leaf nodes
             planned_hierarchy=False,
             prewarm=True,  # always-on == always warm
@@ -161,7 +170,6 @@ class PlatformConfig:
         cfg = PlatformConfig(
             name="sl",
             pipeline=PipelineKind.SERVERLESS,
-            ingress=IngressKind.BROKER,
             placement_policy="worstfit",
             locality_aware=False,
             planned_hierarchy=False,
@@ -188,7 +196,6 @@ class PlatformConfig:
         cfg = PlatformConfig(
             name="sl-h",
             pipeline=PipelineKind.LIFL,
-            ingress=IngressKind.GATEWAY,
             placement_policy="worstfit",
             locality_aware=False,
             planned_hierarchy=True,  # hierarchical, but reactively created
@@ -217,7 +224,6 @@ class AggregationPlatform:
         self.node_spec = node_spec or NodeSpec(name="template")
         self.cal = cal
         self.placer = make_placer(config.placement_policy)
-        self.placement = resolve_policy("placement", config.round_placement)
         self.engine = RoundEngine(
             config, self.node_names, cal, self.node_spec, nic_bps_by_node=nic_bps_by_node
         )
@@ -340,10 +346,9 @@ class AggregationPlatform:
         internal round counter advances so each prepared round gets
         distinct aggregator ids.  ``nodes`` restricts placement to a fleet
         subset (chaos-aware placement); omitted, behaviour is unchanged.
-        Placement routes through the configured round-placement policy
-        (``PlatformConfig.round_placement``; default ``locality``).
         """
-        updates, plan = self.placement.place(self, arrivals, nbytes, nodes=nodes)
+        updates = self.place_updates(arrivals, nbytes, nodes=nodes)
+        plan = self.plan_round(updates, nodes=nodes)
         self._round += 1
         return updates, plan
 
@@ -359,7 +364,8 @@ class AggregationPlatform:
 
         ``injector`` (a :class:`repro.chaos.FaultInjector`) attaches fault
         and recovery processes before the round runs."""
-        updates, plan = self.placement.place(self, arrivals, nbytes)
+        updates = self.place_updates(arrivals, nbytes)
+        plan = self.plan_round(updates)
         result = self.engine.run_round(
             updates,
             plan,

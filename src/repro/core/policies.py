@@ -1,25 +1,28 @@
 """The strategy-pattern policy registry: pluggable serving decisions.
 
-Four decision families steer a serving replay, and each used to be a
+Three decision families steer a serving replay, and each used to be a
 hard-wired method.  This module gives every family a slim ABC and a
 :class:`~repro.common.registry.Registry` (``POLICIES[family]``), the same
-mechanism :mod:`repro.core.stages` resolves dataplane stages with:
+mechanism :mod:`repro.core.stages` resolves ingress stages with:
 
 * :class:`SelectionPolicy` — which clients participate in a round
   (``availability-aware`` / ``random`` / ``population``);
-* :class:`PlacementPolicy` — how an admitted round's updates are mapped
-  to nodes and planned into a hierarchy (``locality`` / ``lpt``);
 * :class:`AdmissionPolicy` — what happens to an arrival when the
   tenant's in-flight slots are busy (``bounded-queue`` / ``drop-tail`` /
   ``drop-head`` / ``defer-with-deadline``);
 * :class:`RecoveryPolicy` — how a round reacts to mid-flight client
   failures (``shrink-or-abort`` / ``abort-fast``).
 
+Round placement is the fourth serving decision, but it is not a family
+here: it is one bin-packing placer from
+:data:`~repro.controlplane.placement.PLACERS`, selected by
+``PlatformConfig.placement_policy``.
+
 Policies register with the :func:`policy` decorator and are resolved by
-name through :class:`~repro.core.platform.PlatformConfig` (placement) and
-:class:`~repro.traces.replay.ReplayConfig` / :class:`~repro.chaos.FaultPlan`
-knobs — empty string means "the registered default", which reproduces the
-pre-registry behaviour byte for byte.  All randomness a policy consumes
+name through :class:`~repro.traces.replay.ReplayConfig` /
+:class:`~repro.chaos.FaultPlan` knobs — empty string means "the
+registered default", which reproduces the pre-registry behaviour byte
+for byte.  All randomness a policy consumes
 comes through its injected RNG: selection receives the per-round stream
 the replay derives from ``(seed, tenant, round_id)``, and
 :func:`resolve_policy` binds a named :class:`~repro.common.rng.RngRegistry`
@@ -41,9 +44,6 @@ from repro.common.registry import Registry
 from repro.common.rng import RngRegistry
 
 if TYPE_CHECKING:
-    from repro.controlplane.hierarchy import HierarchyPlan
-    from repro.core.platform import AggregationPlatform
-    from repro.core.updates import SimUpdate
     from repro.fl.client import FLClient
     from repro.fl.population import ClientPopulation
     from repro.fl.selector import Selector
@@ -53,7 +53,6 @@ __all__ = [
     "POLICIES",
     "AdmissionContext",
     "AdmissionPolicy",
-    "PlacementPolicy",
     "Policy",
     "RecoveryContext",
     "RecoveryPolicy",
@@ -64,14 +63,13 @@ __all__ = [
 ]
 
 #: the decision families the registry knows about
-FAMILIES = ("selection", "placement", "admission", "recovery")
+FAMILIES = ("selection", "admission", "recovery")
 
 #: the registered default per family — resolving an empty-string knob
 #: lands here (except selection, whose default derives from the inputs
 #: the replay was given; see TraceReplayEngine)
 DEFAULTS = {
     "selection": "availability-aware",
-    "placement": "locality",
     "admission": "bounded-queue",
     "recovery": "shrink-or-abort",
 }
@@ -214,77 +212,6 @@ class PopulationSelection(SelectionPolicy):
 
     def participant_weights(self, ctx: SelectionContext, picked) -> list[float]:
         return ctx.population.weights(picked)
-
-
-# ================================================================= placement
-class PlacementPolicy(Policy):
-    """Map one admitted round's (arrival, weight) pairs to node-assigned
-    updates and a hierarchy plan.
-
-    ``place`` must honour ``nodes`` — a placement restriction to a fleet
-    subset (chaos-aware control planes pass the currently-healthy nodes)
-    — and must cover every arrival exactly once across the plan's
-    leaves.  Placement is deterministic: no policy here draws randomness.
-    """
-
-    family = "placement"
-
-    def place(
-        self,
-        platform: "AggregationPlatform",
-        arrivals: list[tuple[float, float]],
-        nbytes: float,
-        nodes: list[str] | None = None,
-    ) -> "tuple[list[SimUpdate], HierarchyPlan]":
-        raise NotImplementedError
-
-
-@policy("placement", "locality")
-class LocalityPlacement(PlacementPolicy):
-    """The platform's native path: the configured bin-packing placer
-    assigns updates to nodes, then the hierarchy planner builds the tree
-    locality-aware (or round-robin for locality-agnostic configs) — the
-    pre-registry ``prepare_round`` behaviour, byte for byte."""
-
-    def place(self, platform, arrivals, nbytes, nodes=None):
-        updates = platform.place_updates(arrivals, nbytes, nodes=nodes)
-        plan = platform.plan_round(updates, nodes=nodes)
-        return updates, plan
-
-
-@policy("placement", "lpt")
-class LptPlacement(PlacementPolicy):
-    """Longest-processing-time spread: each update lands on the candidate
-    node with the fewest updates so far (ties in fleet order), balancing
-    per-node load at the cost of locality — more leaves, more cross-node
-    intermediate transfers.  Capacity is a soft bound: nodes with free
-    service slots win over full ones."""
-
-    def place(self, platform, arrivals, nbytes, nodes=None):
-        from repro.core.updates import SimUpdate
-
-        names = platform._candidate_nodes(nodes)
-        if platform.config.static_leaf_nodes > 0:
-            names = names[: platform.config.static_leaf_nodes]
-        cap = platform.node_spec.max_service_capacity
-        loads = [0] * len(names)
-        updates = []
-        for uid, (t, w) in enumerate(sorted(arrivals)):
-            free = [i for i in range(len(names)) if loads[i] < cap]
-            pool = free or range(len(names))
-            i = min(pool, key=lambda j: (loads[j], j))
-            loads[i] += 1
-            updates.append(
-                SimUpdate(
-                    uid=uid,
-                    nbytes=nbytes,
-                    weight=w,
-                    arrival_time=t,
-                    node=names[i],
-                    client_id=f"u{uid}",
-                )
-            )
-        return updates, platform.plan_round(updates, nodes=nodes)
 
 
 # ================================================================= admission

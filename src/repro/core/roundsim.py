@@ -19,11 +19,13 @@ What is simulated (vs computed):
   allocations (always-on instances, sidecars, brokers, the gateway's
   stateful tax) are added per the config's reservation rates.
 
-The engine itself is platform-agnostic: ingress serialization/admission,
-aggregator-to-aggregator transfer costs, and instance-lifecycle policy are
-stage objects resolved through the registries in :mod:`repro.core.stages`
-(select variants via ``PlatformConfig.ingress_stage`` /
-``transfer_stage`` / ``lifecycle_stage``).
+The engine itself is platform-agnostic: ingress serialization/admission
+is a stage resolved through the ingress registry of
+:mod:`repro.core.stages` (select a variant via
+``PlatformConfig.ingress_stage``); aggregator-to-aggregator transfer costs
+come from :func:`~repro.core.stages.transfer_costs`, and instance creation,
+reuse and restart from the engine's one
+:class:`~repro.core.stages.InstanceLifecycle`.
 
 Two extension points sit on top of the stages:
 
@@ -58,10 +60,10 @@ from repro.core.aggregator import AggregatorCosts, AggregatorInstance
 from repro.core.platform import PlatformConfig
 from repro.core.results import RoundResult
 from repro.core.stages import (
+    InstanceLifecycle,
     WarmState,
     resolve_ingress,
-    resolve_lifecycle,
-    resolve_transfer,
+    transfer_costs,
 )
 from repro.core.updates import MailboxItem, SimUpdate
 from repro.dataplane.calibration import DEFAULT_CALIBRATION, DataplaneCalibration
@@ -92,7 +94,7 @@ class TenantRound:
     top_done: "object"  # Event
     result: RoundResult
     record: Optional[Callable[[str, str, float, float], None]]
-    #: force-create an instance through the lifecycle stage (used by the
+    #: force-create an instance through the instance lifecycle (used by the
     #: recovery controller when a reactive leaf lost all its clients and
     #: must still emit its empty intermediate)
     create: Callable[[object], None]
@@ -146,17 +148,14 @@ class RoundEngine:
             if unknown:
                 raise ConfigError(f"NIC overrides for unknown nodes: {sorted(unknown)}")
         self.ingress = resolve_ingress(config)
-        self.transfer = resolve_transfer(config)
-        self.lifecycle = resolve_lifecycle(config)
-        #: back-compat alias: the warm pool now lives on the lifecycle stage
-        self.warm = self.lifecycle.warm
+        self.lifecycle = InstanceLifecycle()
 
     # ------------------------------------------------------------------ costs
     def _costs_for(self, nbytes: float) -> _CostTable:
         cal = self.cal
         cfg = self.config
         ing = self.ingress.costs(cfg, cal, nbytes)
-        xfer = self.transfer.costs(cfg, cal, nbytes)
+        xfer = transfer_costs(cfg, cal, nbytes)
         return _CostTable(
             ingress_latency=ing.ingress_latency,
             ingress_cpu=ing.ingress_cpu,

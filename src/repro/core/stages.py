@@ -1,24 +1,22 @@
-"""Pluggable stages of the round engine.
+"""Stages of the round engine.
 
-The round engine composes its behaviour from three families of stage
-objects, mirroring how :mod:`repro.dataplane.pipelines` composes hop
-sequences:
+The round engine composes its behaviour from three stage kinds, mirroring
+how :mod:`repro.dataplane.pipelines` composes hop sequences:
 
 * :class:`IngressStage` — how client updates enter a node: the
   serialization costs of the ingress and consumer-side paths, the admission
   resources (per-node gateways vs a shared broker), and the reserved-CPU
-  tax of the stateful ingress components;
-* :class:`TransferStage` — how intermediate updates move between
-  aggregators: intra-node and inter-node (tx/rx split) latency and CPU;
-* :class:`LifecycleStage` — when aggregator instances come into existence:
-  cold starts, reactive-scaling ramp admission, warm reuse and in-round
-  role conversion (owns the cross-round warm pool).
-
-Each family has a :class:`~repro.common.registry.Registry` of stage
-factories; scenarios register new variants under a name and select them
-via the ``ingress_stage`` / ``transfer_stage`` / ``lifecycle_stage``
-fields of :class:`~repro.core.platform.PlatformConfig` without touching
-:mod:`repro.core.roundsim`.
+  tax of the stateful ingress components.  Ingress is the one pluggable
+  stage: :data:`INGRESS_STAGES` holds the variants, and
+  ``PlatformConfig.ingress_stage`` selects one by name (empty derives it
+  from the pipeline) without touching :mod:`repro.core.roundsim`;
+* :func:`transfer_costs` — how intermediate updates move between
+  aggregators: intra-node and inter-node (tx/rx split) latency and CPU,
+  from the calibrated pipelines of the config's data plane;
+* :class:`InstanceLifecycle` — when aggregator instances come into
+  existence and come back: cold starts, reactive-scaling ramp admission,
+  warm reuse, in-round role conversion and stateless restart after a
+  crash (owns the cross-round warm pool).
 """
 
 from __future__ import annotations
@@ -26,9 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.common.errors import ConfigError
 from repro.common.registry import Registry
-from repro.core.platform import IngressKind, PlatformConfig
+from repro.core.platform import PlatformConfig
 from repro.core.updates import SimUpdate
 from repro.dataplane.calibration import DataplaneCalibration
 from repro.dataplane.gateway import VerticalScaler
@@ -280,18 +277,19 @@ class ServerlessBrokerIngress(_BrokerIngress):
         )
 
 
+#: the paper's ingress per data plane: LIFL's per-node gateways, the
+#: shared broker in front of SF's gRPC and SL's sidecar consumers
+_PIPELINE_INGRESS = {
+    PipelineKind.LIFL: "gateway",
+    PipelineKind.SERVERFUL: "broker-sf",
+    PipelineKind.SERVERLESS: "broker-sl",
+}
+
+
 def resolve_ingress(cfg: PlatformConfig) -> IngressStage:
     """Pick the ingress stage for a config: an explicit ``ingress_stage``
-    key wins; otherwise the paper's mapping from (ingress, pipeline)."""
-    key = cfg.ingress_stage
-    if not key:
-        if cfg.ingress is IngressKind.GATEWAY:
-            key = "gateway"
-        elif cfg.pipeline is PipelineKind.SERVERFUL:
-            key = "broker-sf"
-        else:
-            key = "broker-sl"
-    return INGRESS_STAGES.get(key)()
+    key wins; otherwise the paper's ingress for ``cfg.pipeline``."""
+    return INGRESS_STAGES.get(cfg.ingress_stage or _PIPELINE_INGRESS[cfg.pipeline])()
 
 
 # -------------------------------------------------------------------- transfer
@@ -307,48 +305,25 @@ class TransferCosts:
     inter_rx_cpu: float
 
 
-class TransferStage:
-    """How intermediate updates travel between aggregators."""
-
-    name = "base"
-
-    def costs(
-        self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
-    ) -> TransferCosts:
-        raise NotImplementedError
-
-
-TRANSFER_STAGES: Registry[Callable[[], TransferStage]] = Registry("transfer stage")
-
-
-@TRANSFER_STAGES.register("calibrated")
-class CalibratedTransferStage(TransferStage):
-    """Costs from the calibrated dataplane pipelines of ``cfg.pipeline``."""
-
-    name = "calibrated"
-
-    def costs(
-        self, cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
-    ) -> TransferCosts:
-        intra = intra_node_pipeline(cfg.pipeline, cal).cost(nbytes)
-        inter = inter_node_pipeline(cfg.pipeline, cal, include_wire=False).cost(nbytes)
-        # Split the inter-node pipeline at the wire: hops before it are
-        # tx-side, after it rx-side.  The split is symmetric enough that
-        # halving the latency/cpu by group keeps totals exact.
-        inter_tx_lat = inter.latency / 2
-        inter_tx_cpu = inter.cpu_seconds / 2
-        return TransferCosts(
-            intra_latency=intra.latency,
-            intra_cpu=intra.cpu_seconds,
-            inter_tx_latency=inter_tx_lat,
-            inter_tx_cpu=inter_tx_cpu,
-            inter_rx_latency=inter.latency - inter_tx_lat,
-            inter_rx_cpu=inter.cpu_seconds - inter_tx_cpu,
-        )
-
-
-def resolve_transfer(cfg: PlatformConfig) -> TransferStage:
-    return TRANSFER_STAGES.get(cfg.transfer_stage or "calibrated")()
+def transfer_costs(
+    cfg: PlatformConfig, cal: DataplaneCalibration, nbytes: float
+) -> TransferCosts:
+    """Hop costs from the calibrated dataplane pipelines of ``cfg.pipeline``."""
+    intra = intra_node_pipeline(cfg.pipeline, cal).cost(nbytes)
+    inter = inter_node_pipeline(cfg.pipeline, cal, include_wire=False).cost(nbytes)
+    # Split the inter-node pipeline at the wire: hops before it are
+    # tx-side, after it rx-side.  The split is symmetric enough that
+    # halving the latency/cpu by group keeps totals exact.
+    inter_tx_lat = inter.latency / 2
+    inter_tx_cpu = inter.cpu_seconds / 2
+    return TransferCosts(
+        intra_latency=intra.latency,
+        intra_cpu=intra.cpu_seconds,
+        inter_tx_latency=inter_tx_lat,
+        inter_tx_cpu=inter_tx_cpu,
+        inter_rx_latency=inter.latency - inter_tx_lat,
+        inter_rx_cpu=inter.cpu_seconds - inter_tx_cpu,
+    )
 
 
 # ------------------------------------------------------------------- lifecycle
@@ -389,65 +364,39 @@ class RoundAdmission:
     created_per_node: dict[str, int] = field(default_factory=dict)
 
 
-class LifecycleStage:
-    """When aggregator instances come into existence.
+class InstanceLifecycle:
+    """When aggregator instances come into existence, and come back.
 
-    The stage is engine-lifetime: it keeps cross-round state (the warm
+    The paper's instance-creation policy: warm-pool reuse and in-round
+    role conversion (§5.3) plus the reactive autoscaler's stepwise ramp
+    admission (§2.3) for configs with ``ramp_delay > 0``, and the §3
+    failure recovery — stateless aggregators restart without state
+    synchronization.
+
+    The lifecycle is engine-lifetime: it keeps cross-round state (the warm
     pool).  The engine calls :meth:`begin_round` before creating instances
     (receiving a per-round :class:`RoundAdmission` context),
     :meth:`ensure_created` whenever an instance must exist (prewarm or
-    first delivery), and :meth:`end_round` after the round settles.
+    first delivery), and :meth:`end_round` after the round settles; the
+    fault injector calls :meth:`restart_instance` for each crash.  The
+    per-round restart counters record how recovery was funded.
     """
-
-    name = "base"
 
     def __init__(self) -> None:
         self.warm = WarmState()
+        self.restarts = 0
+        self.warm_restarts = 0
+        self.cold_restarts = 0
 
     def begin_round(self, round_start: float = 0.0) -> RoundAdmission:
-        raise NotImplementedError
-
-    def ensure_created(
-        self,
-        inst,  # AggregatorInstance; untyped to keep the stage import-light
-        env: Environment,
-        cfg: PlatformConfig,
-        finished_on_node: dict[str, int],
-        admission: RoundAdmission | None = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def end_round(self, cfg: PlatformConfig, instances_per_node: dict[str, int]) -> None:
-        raise NotImplementedError
-
-    def restart_instance(self, inst, env: Environment, cfg: PlatformConfig) -> None:
-        """Bring a crashed instance back (fault injection).  Only stages
-        that implement the paper's stateless-restart recovery support this;
-        everything else refuses loudly so a chaos scenario cannot silently
-        run without recovery."""
-        raise ConfigError(
-            f"lifecycle stage {self.name!r} cannot restart crashed aggregators; "
-            f"select the 'resilient' stage for chaos rounds"
-        )
-
-
-LIFECYCLE_STAGES: Registry[Callable[[], LifecycleStage]] = Registry("lifecycle stage")
-
-
-@LIFECYCLE_STAGES.register("warm-pool")
-class WarmPoolLifecycle(LifecycleStage):
-    """The paper's instance-creation policy: warm-pool reuse and in-round
-    role conversion (§5.3) plus the reactive autoscaler's stepwise ramp
-    admission (§2.3) for configs with ``ramp_delay > 0``."""
-
-    name = "warm-pool"
-
-    def begin_round(self, round_start: float = 0.0) -> RoundAdmission:
+        self.restarts = 0
+        self.warm_restarts = 0
+        self.cold_restarts = 0
         return RoundAdmission(round_start=round_start)
 
     def ensure_created(
         self,
-        inst,
+        inst,  # AggregatorInstance; untyped to keep the stage import-light
         env: Environment,
         cfg: PlatformConfig,
         finished_on_node: dict[str, int],
@@ -486,33 +435,10 @@ class WarmPoolLifecycle(LifecycleStage):
             for node, count in instances_per_node.items():
                 self.warm.put(node, count)
 
-
-@LIFECYCLE_STAGES.register("resilient")
-class ResilientLifecycle(WarmPoolLifecycle):
-    """Warm-pool lifecycle plus the paper's §3 failure recovery: stateless
-    aggregators restart without state synchronization.
-
-    A restart prefers the warm pool (an idle warm runtime takes over the
-    crashed instance's mailbox instantly); otherwise the replacement pays a
-    cold start.  The stage keeps per-round restart accounting so scenarios
-    and tests can assert how recovery was funded.
-    """
-
-    name = "resilient"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.restarts = 0
-        self.warm_restarts = 0
-        self.cold_restarts = 0
-
-    def begin_round(self, round_start: float = 0.0) -> RoundAdmission:
-        self.restarts = 0
-        self.warm_restarts = 0
-        self.cold_restarts = 0
-        return super().begin_round(round_start)
-
     def restart_instance(self, inst, env: Environment, cfg: PlatformConfig) -> None:
+        """Bring a crashed instance back.  A restart prefers the warm pool
+        (an idle warm runtime takes over the crashed instance's mailbox
+        instantly); otherwise the replacement pays a cold start."""
         self.restarts += 1
         reused = cfg.reuse and self.warm.take(inst.node)
         if reused:
@@ -523,7 +449,3 @@ class ResilientLifecycle(WarmPoolLifecycle):
             inst.restart(
                 cfg.cold_start_latency, reused=False, startup_cpu=cfg.cold_start_cpu
             )
-
-
-def resolve_lifecycle(cfg: PlatformConfig) -> LifecycleStage:
-    return LIFECYCLE_STAGES.get(cfg.lifecycle_stage or "warm-pool")()

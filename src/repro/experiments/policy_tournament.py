@@ -1,9 +1,10 @@
 """Policy tournament (non-paper): rank registered policies by SLO
 attainment per simulated cost.
 
-The policy registry (:mod:`repro.core.policies`) makes every decision
-family — client selection, round placement, admission control, failure
-recovery — a named, swappable strategy.  This scenario runs the natural
+The policy registry (:mod:`repro.core.policies`) makes client selection,
+admission control and failure recovery named, swappable strategies, and
+the placer registry (:data:`~repro.controlplane.placement.PLACERS`) does
+the same for round placement.  This scenario runs the natural
 follow-up experiment: a **tournament** that sweeps contenders from each
 family across a grid of workloads and ranks them on a single
 efficiency score, ``attainment_per_cost`` = SLO attainment ÷ CPU-seconds
@@ -15,7 +16,7 @@ Every cell serves one workload with exactly one family swapped off its
 default (the contender) and the other three pinned to their defaults, so
 a contender's score is attributable to that one decision seam.  The
 default-named contenders (``selection:availability-aware``,
-``placement:locality``, ``admission:bounded-queue``,
+``placement:bestfit``, ``admission:bounded-queue``,
 ``recovery:shrink-or-abort``) therefore all replay the *identical*
 all-defaults cell — they are the shared reference row of each workload's
 bracket.
@@ -67,7 +68,7 @@ N_NODES = 8
 CONTENDERS = (
     "selection:availability-aware",
     "selection:random",
-    "placement:locality",
+    "placement:bestfit",
     "placement:lpt",
     "admission:bounded-queue",
     "admission:drop-head",
@@ -91,23 +92,27 @@ CHAOS_PARTITION = (60.0, 150.0)
 CHAOS_NODE_CAPACITY = 2
 
 
+#: the default per family; placement defaults to LIFL's configured placer
+_DEFAULT_PICKS = {**DEFAULTS, "placement": PlatformConfig.lifl().placement_policy}
+
+
 def _picks(contender: str) -> dict[str, str]:
     """Explicit policy name per family: defaults with one family swapped."""
     family, name = contender.split(":", 1)
-    picks = dict(DEFAULTS)
+    picks = dict(_DEFAULT_PICKS)
     if family not in picks:
         raise ValueError(f"contender {contender!r} names unknown family")
     picks[family] = name
     return picks
 
 
-def _fleet(round_placement: str, capacity: int = 0) -> AggregationPlatform:
+def _fleet(placement_policy: str, capacity: int = 0) -> AggregationPlatform:
     nodes = [f"node{i}" for i in range(N_NODES)]
     spec = (
         NodeSpec(name="template", max_service_capacity=capacity) if capacity else None
     )
     return AggregationPlatform(
-        PlatformConfig.lifl(round_placement=round_placement),
+        PlatformConfig.lifl(placement_policy=placement_policy),
         node_names=nodes,
         node_spec=spec,
     )

@@ -257,7 +257,7 @@ class TraceReplayEngine:
     ``availability``/``weights`` opt into availability-aware rounds;
     ``selector``+``clients`` additionally route participation through the
     FL selector's over-provisioning policy; ``chaos`` couples dropout
-    waves to availability dips.  The platform's engine, lifecycle stage
+    waves to availability dips.  The platform's engine, instance lifecycle
     (warm pool), and node fleet are shared by every round of the replay.
     """
 

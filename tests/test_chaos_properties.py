@@ -29,12 +29,9 @@ QUORUM_FRACTION = 0.5
 
 
 def _run_chaos_round(plan_seed: int, reactive: bool) -> tuple:
-    overrides = {"lifecycle_stage": "resilient"}
-    if reactive:
-        # exercise the create-on-delivery path too: leaves whose whole
-        # input died must still be force-created to emit
-        overrides.update(prewarm=False, reuse=False)
-    cfg = PlatformConfig.lifl(**overrides)
+    # reactive: exercise the create-on-delivery path too — leaves whose
+    # whole input died must still be force-created to emit
+    cfg = PlatformConfig.lifl(prewarm=False, reuse=False) if reactive else PlatformConfig.lifl()
     nodes = [f"node{i:02d}" for i in range(N_NODES)]
     platform = AggregationPlatform(cfg, node_names=nodes)
     arrivals = [

@@ -10,6 +10,7 @@ from repro.common.errors import CapacityExceededError, ConfigError
 from repro.controlplane.placement import (
     BestFitPlacer,
     FirstFitPlacer,
+    LptPlacer,
     NodeCapacity,
     WorstFitPlacer,
     group_clients_by_node,
@@ -96,10 +97,25 @@ def test_assignments_align_with_input_order():
 def test_make_placer_factory():
     assert isinstance(make_placer("bestfit"), BestFitPlacer)
     assert isinstance(make_placer("least-connection"), WorstFitPlacer)
+    assert isinstance(make_placer("lpt"), LptPlacer)
     with pytest.raises(ConfigError, match="unknown placer 'nope'") as err:
         make_placer("nope")
-    for name in ("bestfit", "firstfit", "least-connection", "worstfit"):
+    for name in ("bestfit", "firstfit", "least-connection", "lpt", "worstfit"):
         assert name in str(err.value)
+
+
+def test_lpt_spreads_least_assigned_first_then_overflows_round_robin():
+    """5 nodes of capacity 2, 13 updates: the first 10 fill every slot
+    least-assigned node first (ties in fleet order); the last 3 overflow
+    round-robin from the first node."""
+    nodes = [NodeCapacity(f"node{i}", 2) for i in range(5)]
+    plan = LptPlacer().place(13, nodes)
+    assert plan.assignments == [
+        "node0", "node1", "node2", "node3", "node4",
+        "node0", "node1", "node2", "node3", "node4",
+        "node0", "node1", "node2",
+    ]
+    assert plan.per_node == {"node0": 3, "node1": 3, "node2": 3, "node3": 2, "node4": 2}
 
 
 def test_no_nodes_raises():

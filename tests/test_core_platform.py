@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.common.units import RESNET18_BYTES
-from repro.core.platform import AggregationPlatform, IngressKind, PlatformConfig
+from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.core.rounds import FLWorkloadConfig, run_fl_workload
 from repro.dataplane.pipelines import PipelineKind
 from repro.fl.convergence import curve_for
@@ -17,7 +17,7 @@ from repro.workloads.fedscale import MOBILE_PROFILE, make_population
 
 def test_presets_encode_paper_table():
     lifl = PlatformConfig.lifl()
-    assert lifl.pipeline is PipelineKind.LIFL and lifl.ingress is IngressKind.GATEWAY
+    assert lifl.pipeline is PipelineKind.LIFL and lifl.ingress_stage == ""
     assert lifl.eager and lifl.reuse and lifl.locality_aware
     sf = PlatformConfig.serverful()
     assert sf.fixed_instances > 0 and sf.cold_start_latency == 0.0
@@ -39,6 +39,32 @@ def test_config_validation():
         PlatformConfig.lifl(updates_per_leaf=0)
     with pytest.raises(ConfigError):
         PlatformConfig.lifl(cold_start_latency=-1.0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("broker_cores", 0),
+        ("gateway_max_cores", 0),
+        ("cold_start_cpu", -1.0),
+        ("instance_reserved_cores", -1.0),
+        ("sidecar_reserved_cores", -0.1),
+        ("broker_reserved_cores", -0.1),
+        ("gateway_reserved_cores", -0.1),
+        ("warm_idle_reserved_cores", -0.1),
+        ("chain_overhead_fixed_per_update", -0.1),
+        ("chain_overhead_per_byte", -1e-9),
+        ("chain_overhead_cores", -1.0),
+        ("sidecar_linger", -1.0),
+        ("fixed_instances", -1),
+        ("static_leaf_nodes", -1),
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    """Bad values fail at construction, naming the field — not deep in the
+    kernel mid-round, and not silently as a negative CPU total."""
+    with pytest.raises(ConfigError, match=field):
+        PlatformConfig.lifl(**{field: value})
 
 
 def test_place_updates_respects_policy():

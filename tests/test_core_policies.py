@@ -30,7 +30,7 @@ def _platform(**overrides) -> AggregationPlatform:
 
 # ------------------------------------------------------------------ registry
 def test_registry_catalogue_has_every_ported_policy():
-    assert list(POLICIES) == ["selection", "placement", "admission", "recovery"]
+    assert list(POLICIES) == ["selection", "admission", "recovery"]
     # The conformance suite imports examples/custom_policy.py, which adds
     # "freshest-first" — the built-in selection catalogue must be there
     # regardless of whether that import happened first.
@@ -40,7 +40,6 @@ def test_registry_catalogue_has_every_ported_policy():
         "population",
         "random",
     ]
-    assert POLICIES["placement"].names() == ["locality", "lpt"]
     assert POLICIES["admission"].names() == [
         "bounded-queue",
         "defer-with-deadline",
@@ -141,9 +140,9 @@ def test_unknown_admission_knob_raises():
         _replay(ReplayConfig(admission_policy="lottery"))
 
 
-def test_unknown_round_placement_raises():
-    with pytest.raises(ConfigError, match="unknown placement policy"):
-        _platform(round_placement="scatter")
+def test_unknown_placement_policy_raises():
+    with pytest.raises(ConfigError, match="unknown placer"):
+        _platform(placement_policy="scatter")
 
 
 def test_unknown_recovery_policy_raises():

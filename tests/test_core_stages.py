@@ -1,4 +1,5 @@
-"""Round-engine stage registry: resolution, extension, engine neutrality."""
+"""Round-engine stages: ingress resolution and extension, transfer costs,
+the instance lifecycle, engine neutrality."""
 
 from __future__ import annotations
 
@@ -13,16 +14,13 @@ from repro.core.platform import PlatformConfig
 from repro.core.roundsim import RoundEngine
 from repro.core.stages import (
     INGRESS_STAGES,
-    LIFECYCLE_STAGES,
-    TRANSFER_STAGES,
     GatewayIngress,
     IngressCosts,
+    InstanceLifecycle,
     ServerfulBrokerIngress,
     ServerlessBrokerIngress,
-    WarmPoolLifecycle,
     resolve_ingress,
-    resolve_lifecycle,
-    resolve_transfer,
+    transfer_costs,
 )
 from repro.core.updates import SimUpdate
 from repro.dataplane.calibration import DEFAULT_CALIBRATION
@@ -60,10 +58,6 @@ def test_explicit_stage_key_overrides_derivation():
 def test_unknown_stage_key_raises():
     with pytest.raises(ConfigError, match="unknown ingress stage"):
         resolve_ingress(PlatformConfig.lifl(ingress_stage="nope"))
-    with pytest.raises(ConfigError, match="unknown transfer stage"):
-        resolve_transfer(PlatformConfig.lifl(transfer_stage="nope"))
-    with pytest.raises(ConfigError, match="unknown lifecycle stage"):
-        resolve_lifecycle(PlatformConfig.lifl(lifecycle_stage="nope"))
 
 
 def test_duplicate_registration_rejected():
@@ -73,13 +67,11 @@ def test_duplicate_registration_rejected():
 
 def test_registry_names_listed():
     assert {"gateway", "broker-sf", "broker-sl"} <= set(INGRESS_STAGES.names())
-    assert "calibrated" in TRANSFER_STAGES.names()
-    assert "warm-pool" in LIFECYCLE_STAGES.names()
 
 
 def test_transfer_split_sums_to_pipeline_total():
     cfg = PlatformConfig.lifl()
-    xfer = resolve_transfer(cfg).costs(cfg, DEFAULT_CALIBRATION, 1e7)
+    xfer = transfer_costs(cfg, DEFAULT_CALIBRATION, 1e7)
     assert xfer.inter_tx_latency + xfer.inter_rx_latency > 0
     assert xfer.inter_tx_latency == pytest.approx(xfer.inter_rx_latency)
     assert xfer.intra_latency > 0 and xfer.intra_cpu > 0
@@ -87,9 +79,9 @@ def test_transfer_split_sums_to_pipeline_total():
 
 def test_roundsim_does_not_branch_on_ingress_kind():
     """The engine must resolve ingress behaviour through the registry, not
-    by inspecting IngressKind."""
+    by inspecting the config's data-plane kind."""
     source = inspect.getsource(roundsim)
-    assert "IngressKind" not in source
+    assert "PipelineKind" not in source
 
 
 def test_custom_ingress_stage_flows_through_engine():
@@ -125,7 +117,7 @@ def test_custom_ingress_stage_flows_through_engine():
 
 
 def test_warm_pool_lifecycle_stocks_and_drains():
-    lifecycle = WarmPoolLifecycle()
+    lifecycle = InstanceLifecycle()
     lifecycle.begin_round()
     lifecycle.end_round(PlatformConfig.lifl(), {"node0": 3})
     assert lifecycle.warm.total() == 3
@@ -133,46 +125,34 @@ def test_warm_pool_lifecycle_stocks_and_drains():
     assert lifecycle.warm.total() == 2
     assert not lifecycle.warm.take("node1")
     # no stocking when the config disables reuse
-    lifecycle2 = WarmPoolLifecycle()
+    lifecycle2 = InstanceLifecycle()
     lifecycle2.end_round(PlatformConfig.serverless(), {"node0": 3})
     assert lifecycle2.warm.total() == 0
 
 
-def test_engine_exposes_stage_objects_and_warm_alias():
+def test_engine_exposes_stage_objects():
     engine = RoundEngine(PlatformConfig.lifl(), ["node0"])
     assert isinstance(engine.ingress, GatewayIngress)
-    assert engine.warm is engine.lifecycle.warm
+    assert isinstance(engine.lifecycle, InstanceLifecycle)
 
 
-def test_lifecycle_stage_raising_mid_round_propagates():
-    """A stage that blows up during instance creation must surface, not be
-    swallowed by the event loop."""
-    registered = "exploding" in LIFECYCLE_STAGES.names()
-    if not registered:
+def test_lifecycle_raising_mid_round_propagates(monkeypatch):
+    """A lifecycle that blows up during instance creation must surface, not
+    be swallowed by the event loop."""
 
-        @LIFECYCLE_STAGES.register("exploding")
-        class ExplodingLifecycle(WarmPoolLifecycle):
-            name = "exploding"
+    def explode(inst, env, cfg, finished_on_node, admission=None):
+        raise RuntimeError("lifecycle failed mid-round")
 
-            def ensure_created(self, inst, env, cfg, finished_on_node, admission=None):
-                raise RuntimeError("stage failed mid-round")
-
-    cfg = PlatformConfig.lifl(lifecycle_stage="exploding")
-    with pytest.raises(RuntimeError, match="stage failed mid-round"):
-        RoundEngine(cfg, ["node0"]).run_round(_updates(), _one_node_plan(), include_eval=False)
-
-
-def test_base_lifecycle_cannot_restart_crashed_instances():
-    stage = WarmPoolLifecycle()
-    with pytest.raises(ConfigError, match="resilient"):
-        stage.restart_instance(object(), None, PlatformConfig.lifl())
+    engine = RoundEngine(PlatformConfig.lifl(), ["node0"])
+    monkeypatch.setattr(engine.lifecycle, "ensure_created", explode)
+    with pytest.raises(RuntimeError, match="lifecycle failed mid-round"):
+        engine.run_round(_updates(), _one_node_plan(), include_eval=False)
 
 
 def test_resilient_lifecycle_restart_accounting_warm_then_cold():
     """A restart is funded from the warm pool when one is available on the
     node (instant takeover), otherwise it pays a cold start."""
     from repro.core.aggregator import AggregatorCosts, AggregatorInstance, InstanceState
-    from repro.core.stages import ResilientLifecycle
     from repro.sim.engine import Environment
 
     env = Environment()
@@ -190,8 +170,8 @@ def test_resilient_lifecycle_restart_accounting_warm_then_cold():
     )
     inst.ensure_created(reused=True)
     env.run(until=1.0)
-    cfg = PlatformConfig.lifl(lifecycle_stage="resilient")
-    stage = ResilientLifecycle()
+    cfg = PlatformConfig.lifl()
+    stage = InstanceLifecycle()
     stage.warm.put("node0", 1)
 
     stage.restart_instance(inst, env, cfg)
@@ -212,15 +192,6 @@ def test_resilient_lifecycle_restart_accounting_warm_then_cold():
     assert stage.warm.total() == 2
 
 
-def test_resilient_stage_registered_and_resolves():
-    from repro.core.stages import ResilientLifecycle
-
-    assert "resilient" in LIFECYCLE_STAGES.names()
-    stage = resolve_lifecycle(PlatformConfig.lifl(lifecycle_stage="resilient"))
-    assert isinstance(stage, ResilientLifecycle)
-    assert isinstance(stage, WarmPoolLifecycle)  # inherits warm-pool behaviour
-
-
 def test_ramp_admission_is_round_start_relative():
     """The reactive ramp (§2.3) counts from the *round's* start, not the
     simulation epoch — a round admitted mid-replay at t=100 ramps its k-th
@@ -229,7 +200,7 @@ def test_ramp_admission_is_round_start_relative():
     from repro.sim.engine import Environment
 
     cfg = PlatformConfig.serverless()  # ramp_delay 6, no prewarm, no reuse
-    stage = WarmPoolLifecycle()
+    stage = InstanceLifecycle()
     env = Environment()
     created: list[float] = []
 
@@ -257,7 +228,7 @@ def test_ramp_admission_contexts_do_not_clobber():
     from repro.sim.engine import Environment
 
     cfg = PlatformConfig.serverless()
-    stage = WarmPoolLifecycle()
+    stage = InstanceLifecycle()
     env = Environment()
     created: dict[str, list[float]] = {"a": [], "b": []}
 

@@ -1,16 +1,16 @@
 """Conformance properties every registered policy must satisfy.
 
-The suite introspects the live registry (``POLICIES[family].names()``), so
-any policy registered anywhere — the built-ins, and the runnable
-``examples/custom_policy.py`` policy which is imported below — is held
-to the same contract:
+The suite introspects the live registries (``POLICIES[family].names()``
+and ``PLACERS.names()``), so any policy registered anywhere — the
+built-ins, and the runnable ``examples/custom_policy.py`` policy which is
+imported below — is held to the same contract:
 
 * **selection** returns a duplicate-free subset of the clients eligible
   at the round's arrival instant, with matching weights, and is a pure
   function of its injected RNG;
-* **placement** covers every arrival exactly once, the plan's leaves
-  partition the placed updates per node, and a ``nodes=`` restriction is
-  honoured;
+* **placement** (every placer) covers every arrival exactly once, the
+  plan's leaves partition the placed updates per node, and a ``nodes=``
+  restriction is honoured;
 * **admission** never grows a queue past its bound and never starves a
   tenant while the queue has room;
 * **recovery** never leaves a round hung — below quorum it must abort,
@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import make_rng
+from repro.controlplane.placement import PLACERS
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.core.policies import (
     ADMISSION_DECISIONS,
@@ -129,16 +130,22 @@ _ARRIVALS = st.lists(
 )
 
 
-@pytest.mark.parametrize("name", POLICIES["placement"].names())
+def _prepare(name: str, node_names: list, arrivals: list, nodes: list):
+    """Place and plan one round through the platform with placer ``name``."""
+    platform = AggregationPlatform(
+        PlatformConfig.lifl(placement_policy=name), node_names=node_names
+    )
+    return platform.prepare_round(arrivals, nbytes=1e6, nodes=nodes)
+
+
+@pytest.mark.parametrize("name", PLACERS.names())
 @settings(max_examples=20, deadline=None)
 @given(arrivals=_ARRIVALS, restrict=st.integers(1, len(NODES)))
 def test_placement_covers_arrivals_and_respects_nodes(
     name: str, arrivals: list, restrict: int
 ):
-    platform = AggregationPlatform(PlatformConfig.lifl(), node_names=NODES)
-    pol = POLICIES["placement"].get(name)()
     allowed = NODES[:restrict]
-    updates, plan = pol.place(platform, arrivals, nbytes=1e6, nodes=allowed)
+    updates, plan = _prepare(name, NODES, arrivals, allowed)
     # Exactly-once coverage, in deterministic arrival order.
     assert len(updates) == len(arrivals)
     assert sorted(u.uid for u in updates) == list(range(len(arrivals)))
@@ -167,7 +174,7 @@ _REGION_NODES = {
 _ALL_REGION_NODES = [n for nodes in _REGION_NODES.values() for n in nodes]
 
 
-@pytest.mark.parametrize("name", POLICIES["placement"].names())
+@pytest.mark.parametrize("name", PLACERS.names())
 @settings(max_examples=20, deadline=None)
 @given(
     arrivals=_ARRIVALS,
@@ -177,7 +184,7 @@ _ALL_REGION_NODES = [n for nodes in _REGION_NODES.values() for n in nodes]
 def test_placement_respects_region_restricted_node_sets(
     name: str, arrivals: list, home: str, partitioned_home: bool
 ):
-    """Every registered placement policy against the node sets the geo
+    """Every registered placer against the node sets the geo
     federation hands it: the home region's nodes, or — while the home is
     partitioned — the fallback's.  A policy must never place an update
     in a partitioned region even though the platform knows every node."""
@@ -189,11 +196,7 @@ def test_placement_respects_region_restricted_node_sets(
     assert set(allowed) == set(
         _REGION_NODES[fallback if partitioned_home else home]
     )
-    platform = AggregationPlatform(
-        PlatformConfig.lifl(), node_names=_ALL_REGION_NODES
-    )
-    pol = POLICIES["placement"].get(name)()
-    updates, plan = pol.place(platform, arrivals, nbytes=1e6, nodes=list(allowed))
+    updates, plan = _prepare(name, _ALL_REGION_NODES, arrivals, list(allowed))
     assert len(updates) == len(arrivals)
     used = {u.node for u in updates}
     assert used <= set(allowed), f"{name} escaped the region restriction"
