@@ -169,7 +169,16 @@ class SelectionPolicy(Policy):
 class AvailabilityAwareSelection(SelectionPolicy):
     """Route participation through the FL selector's over-provisioning
     policy, restricted to the clients the availability trace reports up
-    at the round's arrival instant (the pre-registry selector path)."""
+    at the round's arrival instant (the pre-registry selector path).
+
+    Each round is one vectorized pass: the trace's compiled mask at
+    ``ctx.at``, gathered into ``ctx.clients`` order through a client→row
+    map (:meth:`~repro.traces.models.AvailabilityTrace.row_index`) built
+    once per client list.  The replay hands the same list every round, so
+    a replay builds the map once."""
+
+    #: (clients, availability, positions of known ids, their trace rows)
+    _rows: tuple | None = None
 
     def select(self, ctx: SelectionContext, rng: np.random.Generator) -> list[str]:
         if ctx.selector is None or ctx.availability is None or not ctx.clients:
@@ -177,11 +186,21 @@ class AvailabilityAwareSelection(SelectionPolicy):
                 "availability-aware selection needs selector, clients, "
                 "and an availability trace"
             )
-        avail = ctx.availability
-        picked = ctx.selector.select_available(
-            ctx.clients, rng, lambda cid: avail.is_available(cid, ctx.at)
-        )
+        picked = ctx.selector.select_available(ctx.clients, rng, self._up(ctx))
         return [c.client_id for c in picked]
+
+    def _up(self, ctx: SelectionContext) -> np.ndarray:
+        """Availability of ``ctx.clients`` at ``ctx.at``, in list order;
+        ids the trace does not know are never up."""
+        cached = self._rows
+        if cached is None or cached[0] is not ctx.clients or cached[1] is not ctx.availability:
+            rows = ctx.availability.row_index(c.client_id for c in ctx.clients)
+            known = np.flatnonzero(rows >= 0)
+            cached = self._rows = (ctx.clients, ctx.availability, known, rows[known])
+        _, avail, known, rows = cached
+        up = np.zeros(len(ctx.clients), dtype=bool)
+        up[known] = avail.available_mask(ctx.at)[rows]
+        return up
 
 
 @policy("selection", "random")

@@ -14,7 +14,7 @@ so that the aggregation goal is met even if some clients drop out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -76,19 +76,20 @@ class Selector:
         self,
         clients: list[FLClient],
         rng: np.random.Generator,
-        is_available: Callable[[str], bool],
+        mask: np.ndarray,
     ) -> list[FLClient]:
-        """Availability-aware selection: filter the population through an
-        availability predicate (e.g. an
+        """Availability-aware selection: keep the clients whose entry in
+        the boolean ``mask`` (aligned with ``clients``, e.g. an
         :class:`~repro.traces.models.AvailabilityTrace` evaluated at the
-        round's arrival instant), then select from whoever is up.
+        round's arrival instant) is set, then select from whoever is up.
+        The pool keeps ``clients`` order.
 
         Returns an empty list when nobody is available — trace-driven
         serving treats that round as unformable rather than erroring, so
         day-night participation dips thin rounds instead of crashing the
         replay.
         """
-        pool = [c for c in clients if is_available(c.client_id)]
+        pool = [clients[i] for i in np.flatnonzero(mask).tolist()]
         if not pool:
             return []
         return self.select(pool, rng)
@@ -99,16 +100,17 @@ class Selector:
         rng: np.random.Generator,
         mask: np.ndarray,
     ) -> np.ndarray:
-        """Vectorized :meth:`select_available` over a struct-of-arrays
+        """:meth:`select_available` over a struct-of-arrays
         :class:`~repro.fl.population.ClientPopulation`.
 
         ``mask`` is the availability mask (e.g.
-        ``population.available_mask(at)``); returns the selected client
-        *indices* in draw order.  Consumes the RNG stream exactly like the
-        per-object path — same ``rng.choice`` call over a pool of the same
-        size in the same order — so for matching populations the two paths
-        pick the same clients (property-tested).  Empty pool returns an
-        empty index array (the unformable-round case).
+        ``population.available_mask(at)``), as in :meth:`select_available`;
+        returns the selected client *indices* in draw order.  Consumes the
+        RNG stream exactly like the per-object path — same ``rng.choice``
+        call over a pool of the same size in the same order — so for
+        matching populations the two paths pick the same clients
+        (property-tested).  Empty pool returns an empty index array (the
+        unformable-round case).
         """
         pool = np.flatnonzero(mask)
         if pool.size == 0:

@@ -519,14 +519,41 @@ def render_trend(doc: dict) -> str:
 # --------------------------------------------------------------- record
 
 
+def host_fingerprint() -> dict:
+    """The host a run was measured on: CPU model, usable CPUs, Python and
+    numpy versions.  Timings from different hosts do not compare."""
+    import platform
+
+    import numpy
+
+    from repro.common.fanout import available_cpus
+
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "nproc": available_cpus(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+    }
+
+
 def record_run(path: str, label: str, metrics: dict) -> dict:
-    """Record one labelled entry in the trajectory file at ``path``.
+    """Record one labelled entry in the trajectory file at ``path``,
+    stamped with the :func:`host_fingerprint` of the recording host.
 
     An entry with the same label is *merged*: metric sections present in
     the new run replace their namesakes, sections it did not run (e.g.
     everything a ``--only`` run skipped) are preserved, and the timestamp
-    refreshes.  A new label appends, preserving the trajectory of earlier
-    PRs."""
+    and host refresh.  A new label appends, preserving the trajectory of
+    earlier PRs."""
     doc: dict = {"benchmark": "engine", "runs": []}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
@@ -534,6 +561,7 @@ def record_run(path: str, label: str, metrics: dict) -> dict:
     entry = {
         "label": label,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "host": host_fingerprint(),
         "metrics": metrics,
     }
     runs = doc.setdefault("runs", [])

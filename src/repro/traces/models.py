@@ -27,7 +27,9 @@ import csv
 import json
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -267,21 +269,59 @@ def merge_traces(*traces: Trace) -> Trace:
 class AvailabilityTrace:
     """Per-client availability windows over a horizon (FedScale-style).
 
-    ``windows[client_id]`` is a sorted tuple of ``[start, end)`` intervals
-    during which the client can be selected for a round.  Built by
-    :func:`availability_trace` (session/churn distributions with optional
-    day-night modulation) or assembled directly from log data.
+    ``windows[client_id]`` is a tuple of ``[start, end)`` intervals during
+    which the client can be selected for a round.  Every span has
+    ``start <= end`` and each client's starts are non-decreasing;
+    overlapping and zero-length spans are legal.  Construction raises
+    :class:`~repro.common.errors.ConfigError` naming the first client that
+    breaks either rule.
+
+    The windows are read-only after construction, which compiles them once
+    into a flat index (sorted-id order) so availability queries are one
+    vectorized interval test rather than a Python loop per client.  Built
+    by :func:`availability_trace` (session/churn distributions with
+    optional day-night modulation) or assembled directly from log data.
     """
 
     horizon: float
     windows: dict[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
-    #: lazily compiled CSR flat index over all windows (sorted-id order):
-    #: (ids, win_start, win_end, row_index, fingerprint)
-    _compiled: tuple | None = field(default=None, repr=False, compare=False)
+    #: the compiled CSR index over all windows: (sorted ids, window starts,
+    #: window ends, each window's row in the sorted ids)
+    _index: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        ids = sorted(self.windows)
+        counts = np.fromiter(
+            (len(self.windows[cid]) for cid in ids), dtype=np.int64, count=len(ids)
+        )
+        total = int(counts.sum())
+        # Stream the bounds straight into one array: no transient list of
+        # every window tuple.
+        flat = np.fromiter(
+            chain.from_iterable(chain.from_iterable(self.windows[cid] for cid in ids)),
+            dtype=float,
+            count=2 * total,
+        ).reshape(total, 2)
+        starts, ends = flat.T.copy()
+        rows = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
+        inverted = np.flatnonzero(starts > ends)
+        if inverted.size:
+            i = int(inverted[0])
+            raise ConfigError(
+                f"availability window ({starts[i]}, {ends[i]}) of client "
+                f"{ids[rows[i]]!r} ends before it starts"
+            )
+        unsorted = np.flatnonzero((starts[1:] < starts[:-1]) & (rows[1:] == rows[:-1]))
+        if unsorted.size:
+            raise ConfigError(
+                f"availability windows of client {ids[rows[unsorted[0]]]!r} "
+                "are not sorted by start"
+            )
+        self._index = (ids, starts, ends, rows)
 
     @property
     def client_ids(self) -> list[str]:
-        return sorted(self.windows)
+        return list(self._index[0])
 
     def is_available(self, client_id: str, at: float) -> bool:
         for start, end in self.windows.get(client_id, ()):
@@ -291,31 +331,18 @@ class AvailabilityTrace:
                 break
         return False
 
-    def _compile(self) -> tuple:
-        """Flatten the per-id window dict into parallel numpy arrays, in
-        sorted-id order, so availability queries become one vectorized
-        interval test instead of a Python loop per client.  Recompiled
-        when the dict's shape changes (cheap fingerprint; traces are
-        effectively immutable after construction)."""
-        fingerprint = (len(self.windows), sum(len(w) for w in self.windows.values()))
-        if self._compiled is not None and self._compiled[4] == fingerprint:
-            return self._compiled
-        ids = self.client_ids
-        counts = np.array([len(self.windows[cid]) for cid in ids], dtype=np.int64)
-        flat = [span for cid in ids for span in self.windows[cid]]
-        if flat:
-            arr = np.asarray(flat)
-            starts, ends = arr[:, 0], arr[:, 1]
-        else:
-            starts = ends = np.empty(0)
-        rows = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
-        self._compiled = (ids, starts, ends, rows, fingerprint)
-        return self._compiled
+    def row_index(self, client_ids: Iterable[str]) -> np.ndarray:
+        """Each id's row in :meth:`available_mask` (its position in
+        :attr:`client_ids`), or -1 for an id the trace does not know —
+        :meth:`is_available` treats those as never up.  Map a fixed client
+        list once, then gather the mask through it every round."""
+        row_of = {cid: i for i, cid in enumerate(self._index[0])}
+        return np.fromiter((row_of.get(cid, -1) for cid in client_ids), dtype=np.int64)
 
     def available_mask(self, at: float) -> "np.ndarray":
         """Boolean availability per client at ``at``, in sorted-id order —
         the vectorized core of :meth:`available`."""
-        ids, starts, ends, rows, _ = self._compile()
+        ids, starts, ends, rows = self._index
         hit = (starts <= at) & (at < ends)
         mask = np.zeros(len(ids), dtype=bool)
         mask[rows[hit]] = True
@@ -323,13 +350,9 @@ class AvailabilityTrace:
 
     def available(self, at: float) -> list[str]:
         """Client ids available at time ``at``, in sorted-id order (the
-        deterministic sampling base).  Large populations take the compiled
-        vectorized path; the output is identical either way."""
-        if len(self.windows) >= 512:
-            ids, *_ = self._compile()
-            mask = self.available_mask(at)
-            return [ids[int(i)] for i in np.flatnonzero(mask)]
-        return [cid for cid in self.client_ids if self.is_available(cid, at)]
+        deterministic sampling base)."""
+        ids = self._index[0]
+        return [ids[i] for i in np.flatnonzero(self.available_mask(at)).tolist()]
 
     def availability_fraction(self, at: float) -> float:
         """Fraction of the population available at ``at`` (0 when empty)."""

@@ -10,8 +10,8 @@ The contracts :mod:`repro.fl.population` promises (its module docstring):
   clients, in the same order, as ``select_available`` over the
   equivalent client list + availability trace;
 * availability parity — CSR masks agree with the per-id window dict,
-  and ``AvailabilityTrace``'s own vectorized mask/``available()`` fast
-  path agrees with its scalar loop.
+  and ``AvailabilityTrace``'s compiled mask and ``available()`` agree
+  with its scalar ``is_available``.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def test_select_population_matches_select_available(n, goal, seed, diversity) ->
     at = 10.0
     r1, r2 = make_rng(seed, "s"), make_rng(seed, "s")
     picked = sel.select_population(pop, r1, pop.available_mask(at))
-    chosen = sel.select_available(ref.clients, r2, lambda cid: trace.is_available(cid, at))
+    mask = trace.available_mask(at)[trace.row_index(c.client_id for c in ref.clients)]
+    chosen = sel.select_available(ref.clients, r2, mask)
     assert [pop.client_id(int(i)) for i in picked] == [c.client_id for c in chosen]
 
 
@@ -188,7 +189,6 @@ def test_advance_refreshes_state_arrays() -> None:
 
 
 def test_availability_trace_vectorized_available_matches_loop() -> None:
-    # >=512 clients takes the compiled fast path inside available()
     trace = availability_trace(600, horizon=250.0, seed=8)
     for at in (0.0, 60.0, 249.9, 400.0):
         fast = trace.available(at)

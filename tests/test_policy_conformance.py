@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import importlib.util
 import pathlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from repro.core.policies import (
 )
 from repro.fl.population import ClientPopulation
 from repro.fl.selector import Selector, SelectorConfig
-from repro.traces.models import availability_trace, poisson_trace
+from repro.traces.models import AvailabilityTrace, availability_trace, poisson_trace
 from repro.traces.replay import ChaosCorrelation, ReplayConfig, TraceReplayEngine
 from repro.workloads.fedscale import MOBILE_PROFILE, make_population
 
@@ -120,6 +121,61 @@ def test_selection_is_a_pure_function_of_its_rng(name: str):
         assert list(np.asarray(first)) == list(np.asarray(second)), (
             f"{name} is not deterministic under a fixed RNG stream"
         )
+
+
+# Random sorted window dicts on an integer grid, so ``at`` values can land
+# exactly on window starts and ends; overlapping and zero-length spans
+# included.
+_SPANS = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(0, 6)), max_size=4
+).map(lambda raw: tuple((float(a), float(a + d)) for a, d in sorted(raw)))
+
+
+@st.composite
+def _selection_case(draw):
+    windows = draw(st.dictionaries(st.sampled_from([f"c{i:02d}" for i in range(12)]), _SPANS))
+    known = draw(st.lists(st.sampled_from(sorted(windows)), unique=True)) if windows else []
+    ghosts = draw(
+        st.lists(
+            st.sampled_from(["ghost-a", "ghost-b", "ghost-c"]),
+            unique=True,
+            min_size=0 if known else 1,
+        )
+    )
+    ids = draw(st.permutations(known + ghosts))
+    clients = [
+        SimpleNamespace(client_id=cid, num_samples=draw(st.integers(1, 50))) for cid in ids
+    ]
+    ats = draw(st.lists(st.integers(-1, 27).map(float), min_size=1, max_size=4))
+    return AvailabilityTrace(horizon=30.0, windows=windows), clients, ats
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_selection_case(),
+    goal=st.integers(1, 8),
+    diversity=st.sampled_from(["uniform", "diverse"]),
+    seed=st.integers(0, 2**20),
+)
+def test_availability_aware_selection_matches_scalar_oracle(case, goal, diversity, seed):
+    """The vectorized policy picks what the per-client ``is_available``
+    filter + ``Selector.select`` picks, in the same order, leaving the
+    RNG in the same state; an all-down round picks nobody."""
+    trace, clients, ats = case
+    selector = Selector(SelectorConfig(aggregation_goal=goal, diversity=diversity))
+    pol = POLICIES["selection"].get("availability-aware")()
+    for at in [*ats, 1e9]:  # 1e9: after every window, so all down
+        ctx = SelectionContext(
+            at=at, tenant=0, round_id=0, round_updates=goal,
+            availability=trace, selector=selector, clients=clients,
+        )
+        r1, r2 = make_rng(seed, "oracle"), make_rng(seed, "oracle")
+        got = pol.select(ctx, r1)
+        pool = [c for c in clients if trace.is_available(c.client_id, at)]
+        expect = [c.client_id for c in selector.select(pool, r2)] if pool else []
+        assert got == expect
+        assert r1.bit_generator.state == r2.bit_generator.state
+    assert got == []
 
 
 # ================================================================= placement

@@ -209,6 +209,17 @@ def test_trend_cli_reads_committed_trajectory(capsys):
     assert "stress50/LIFL" in out
 
 
+def test_record_run_stamps_host(tmp_path):
+    from repro.perf.bench import record_run
+
+    path = str(tmp_path / "BENCH_engine.json")
+    record_run(path, "dev", {"micro": {}})
+    with open(path, encoding="utf-8") as fh:
+        host = json.load(fh)["runs"][-1]["host"]
+    assert set(host) == {"cpu", "nproc", "python", "numpy"}
+    assert host["cpu"] and host["nproc"] >= 1
+
+
 # ------------------------------------------------------------------- tags
 def test_every_scenario_carries_tags():
     from repro.scenarios.registry import all_scenarios

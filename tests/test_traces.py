@@ -8,6 +8,7 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.traces.models import (
+    AvailabilityTrace,
     Trace,
     TraceEvent,
     availability_trace,
@@ -163,6 +164,31 @@ def test_availability_queries_are_consistent():
         up = trace.available(at)
         assert up == [cid for cid in trace.client_ids if trace.is_available(cid, at)]
         assert trace.availability_fraction(at) == pytest.approx(len(up) / 50)
+
+
+@pytest.mark.parametrize(
+    "spans, error",
+    [
+        (((50.0, 60.0), (10.0, 20.0)), "not sorted by start"),
+        (((30.0, 10.0),), "ends before it starts"),
+        (((10.0, 30.0), (20.0, 25.0), (25.0, 25.0)), None),
+    ],
+    ids=["unsorted", "inverted", "sorted-overlapping"],
+)
+def test_availability_trace_validates_windows(spans, error):
+    windows = {f"c{i:04d}": spans for i in range(600)}
+    if error is not None:
+        with pytest.raises(ConfigError, match=error) as info:
+            AvailabilityTrace(horizon=100.0, windows=windows)
+        assert "'c0000'" in str(info.value)
+        return
+    # Overlapping and zero-length spans stay legal, and both query paths
+    # agree on them at every window bound.
+    trace = AvailabilityTrace(horizon=100.0, windows=windows)
+    for at in (5.0, 10.0, 20.0, 22.0, 25.0, 30.0):
+        assert trace.available(at) == [
+            cid for cid in trace.client_ids if trace.is_available(cid, at)
+        ]
 
 
 def test_availability_sample_is_seeded_and_capped():

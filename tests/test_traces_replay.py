@@ -207,6 +207,37 @@ def test_selector_routes_participation_through_over_provisioning():
     assert any(w != 1.0 for r in formed for _, w in r.participants)
 
 
+def test_availability_aware_replay_maps_clients_to_trace_rows_once(monkeypatch):
+    from repro.fl.model import model_spec
+    from repro.fl.selector import Selector, SelectorConfig
+    from repro.workloads.fedscale import MOBILE_PROFILE, make_population
+
+    calls = []
+    row_index = AvailabilityTrace.row_index
+
+    def counting(self, client_ids):
+        calls.append(self)
+        return row_index(self, client_ids)
+
+    monkeypatch.setattr(AvailabilityTrace, "row_index", counting)
+    population = make_population(30, spec=model_spec("resnet18"), profile=MOBILE_PROFILE, seed=4)
+    avail = availability_trace(
+        30, 240.0, seed=4, mean_session=200.0, mean_gap=40.0, prefix=MOBILE_PROFILE.name
+    )
+    trace = Trace(
+        events=[TraceEvent(at=10.0 * k, tenant=0, round_id=k) for k in range(20)],
+        horizon=240.0,
+    )
+    result = _replay(
+        trace=trace,
+        availability=avail,
+        selector=Selector(SelectorConfig(aggregation_goal=5)),
+        clients=population.clients,
+    ).run()
+    assert len(result.records) == 20
+    assert calls == [avail]
+
+
 # ------------------------------------------------------------------ chaos
 def test_chaos_waves_fire_only_in_availability_dips():
     avail = availability_trace(
