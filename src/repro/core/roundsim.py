@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.cluster.network import Fabric
-from repro.cluster.node import NodeSpec, WorkerNode
+from repro.cluster.node import CpuAccount, NodeSpec
 from repro.common.errors import ConfigError, SimulationError
 from repro.common.eventlog import EventLog
 from repro.controlplane.hierarchy import AggregatorSpec, HierarchyPlan, Role
@@ -87,7 +87,7 @@ class TenantRound:
     updates: list[SimUpdate]
     plan: HierarchyPlan
     nbytes: float
-    nodes: dict[str, WorkerNode]
+    nodes: dict[str, CpuAccount]
     instances: dict[str, "object"]  # agg_id -> AggregatorInstance
     ingress_procs: dict[int, Process]
     leaf_assignment: dict[int, str]
@@ -386,13 +386,9 @@ class RoundEngine:
                 )
 
         timeline = EventLog()
-        nodes = {name: WorkerNode(env, NodeSpec(
-            name=name,
-            cores=self.node_spec.cores,
-            memory_bytes=self.node_spec.memory_bytes,
-            nic_bps=self.node_spec.nic_bps,
-            max_service_capacity=self.node_spec.max_service_capacity,
-        )) for name in self.node_names}
+        # One CPU ledger per fleet node, in fleet order: ``_finalize``
+        # folds ``cpu_by_component`` in this dict's order.
+        nodes = {name: CpuAccount() for name in self.node_names}
 
         # -- ingress resources ---------------------------------------------
         ingress_res: dict[str, Resource] = self.ingress.build_resources(
@@ -443,7 +439,7 @@ class RoundEngine:
             t0 = env._now
 
             def done(_event) -> None:
-                nodes[src].cpu.charge("dataplane", costs.intra_cpu)
+                nodes[src].charge("dataplane", costs.intra_cpu)
                 if record is not None:
                     record(child.agg_id, "network", t0, env._now)
                 _deliver(parent, MailboxItem(weight, child.agg_id, True, env._now))
@@ -457,13 +453,13 @@ class RoundEngine:
             t0 = env._now
             result.cross_node_transfers += 1
             yield timeout(costs.inter_tx_latency)
-            nodes[src].cpu.charge("dataplane", costs.inter_tx_cpu)
+            nodes[src].charge("dataplane", costs.inter_tx_cpu)
             yield fabric.transfer(src, dst, nbytes, label=child.agg_id)
             req = ingress_res[dst].request()
             yield req
             yield timeout(costs.inter_rx_latency)
             ingress_res[dst].release(req)
-            nodes[dst].cpu.charge("dataplane", costs.inter_rx_cpu)
+            nodes[dst].charge("dataplane", costs.inter_rx_cpu)
             if record is not None:
                 record(child.agg_id, "network", t0, env._now)
             _deliver(parent, MailboxItem(weight, child.agg_id, True, env._now))
@@ -508,7 +504,7 @@ class RoundEngine:
                     startup_cpu=cfg.cold_start_cpu,
                 ),
                 eager=cfg.eager,
-                charge_cpu=nodes[spec.node].cpu.charge,
+                charge_cpu=nodes[spec.node].charge,
                 on_output=on_output,
                 record=record,
             )
@@ -539,13 +535,13 @@ class RoundEngine:
                 t0 = env._now
                 result.cross_node_transfers += 1
                 yield timeout(costs.inter_tx_latency)
-                nodes[src].cpu.charge("dataplane", costs.inter_tx_cpu)
+                nodes[src].charge("dataplane", costs.inter_tx_cpu)
                 yield fabric.transfer(src, top_spec.node, nbytes, label=agg_id)
                 req = ingress_res[top_spec.node].request()
                 yield req
                 yield timeout(costs.inter_rx_latency)
                 ingress_res[top_spec.node].release(req)
-                nodes[top_spec.node].cpu.charge("dataplane", costs.inter_rx_cpu)
+                nodes[top_spec.node].charge("dataplane", costs.inter_rx_cpu)
                 if record is not None:
                     record(agg_id, "network", t0, env._now)
                 _deliver(
@@ -582,7 +578,7 @@ class RoundEngine:
                 yield timeout(ingress_latency)
                 res.release(held)
                 held = None
-                nodes[node].cpu.charge("ingress", ingress_cpu)
+                nodes[node].charge("ingress", ingress_cpu)
                 if record is not None:
                     record(f"{node}/gw", "network", t0, env._now)
                 leaf = instances[leaf_id]
@@ -593,14 +589,14 @@ class RoundEngine:
                     # consume it.
                     result.cross_node_transfers += 1
                     yield timeout(costs.inter_tx_latency)
-                    nodes[node].cpu.charge("dataplane", costs.inter_tx_cpu)
+                    nodes[node].charge("dataplane", costs.inter_tx_cpu)
                     yield fabric.transfer(node, leaf.node, nbytes, label=f"u{update.uid}")
                     held = ingress_res[leaf.node].request()
                     yield held
                     yield timeout(costs.inter_rx_latency)
                     ingress_res[leaf.node].release(held)
                     held = None
-                    nodes[leaf.node].cpu.charge("dataplane", costs.inter_rx_cpu)
+                    nodes[leaf.node].charge("dataplane", costs.inter_rx_cpu)
                     if record is not None:
                         record(f"u{update.uid}", "network", t0, env._now)
                 _deliver(leaf, MailboxItem(update.weight, update.client_id, False, env._now))
@@ -656,7 +652,7 @@ class RoundEngine:
         record = tenant.record
         if include_eval:
             top_node = plan.top.node
-            nodes[top_node].charge_cpu(self.cal.eval_task_cpu, "eval")
+            nodes[top_node].charge("eval", self.cal.eval_task_cpu)
             if record is not None:
                 record(plan.top.agg_id, "eval", result.act, result.act + self.cal.eval_task_latency)
             result.completion_time = result.act + self.cal.eval_task_latency
@@ -669,7 +665,7 @@ class RoundEngine:
             # Serialized distribution/scale-up overhead (see PlatformConfig).
             if record is not None:
                 record("control", "network", result.completion_time, result.completion_time + chain)
-            nodes[plan.top.node].charge_cpu(chain * cfg.chain_overhead_cores, "chain")
+            nodes[plan.top.node].charge("chain", chain * cfg.chain_overhead_cores)
             result.completion_time += chain
 
         # -- bookkeeping ---------------------------------------------------------------
@@ -682,7 +678,7 @@ class RoundEngine:
         result.aggregators_created = sum(1 for i in result.instances if i.cold_start)
         result.aggregators_reused = sum(1 for i in result.instances if i.reused)
         for node in nodes.values():
-            for comp, secs in node.cpu.buckets.items():
+            for comp, secs in node.buckets.items():
                 result.cpu_by_component[comp] = result.cpu_by_component.get(comp, 0.0) + secs
         result.cpu_reserved = self._reserved_cpu(result)
         if tenant.chaos_active:

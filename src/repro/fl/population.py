@@ -5,9 +5,9 @@
 100k-client population costs hundreds of thousands of Python objects and a
 per-object method call for every draw.  :class:`ClientPopulation` keeps the
 same statistical population as parallel numpy arrays — speed factors,
-FedAvg weights (sample counts), availability windows in CSR form, per-client
-state and next-event time — so availability queries, selection, and timing
-draws are single vectorized kernels.
+FedAvg weights (sample counts), and availability windows in CSR form — so
+availability queries, selection, and timing draws are single vectorized
+kernels.
 
 Three contracts keep it honest:
 
@@ -31,11 +31,7 @@ exponentials + a cumulative sum, rather than ``availability_trace``'s
 per-client loop over per-client streams), which is what makes a 100k-client
 horizon tractable; day-night gap modulation is inherently sequential and is
 not supported here — use :func:`repro.traces.models.availability_trace`
-when you need it.  Batched event coalescing on the engine side lives in the
-``gateway-coalesced`` ingress stage (one walker process wakes each arrival
-batch); :meth:`next_events` is the population-side counterpart — one call
-yields every client's next churn instant, so a serving loop keeps a single
-heap entry per *batch* of clients instead of one per client.
+when you need it.
 """
 
 from __future__ import annotations
@@ -51,9 +47,6 @@ from repro.traces.models import AvailabilityTrace
 from repro.workloads.fedscale import MOBILE_PROFILE, PopulationProfile
 
 __all__ = ["ClientPopulation"]
-
-#: online/offline markers for the ``state`` array
-OFFLINE, ONLINE = 0, 1
 
 
 @dataclass
@@ -75,10 +68,6 @@ class ClientPopulation:
     horizon: float = 0.0
     #: optional per-client NIC capacity (bits/s); None = fabric default
     nic_bps: np.ndarray | None = None
-    #: ONLINE/OFFLINE as of the last :meth:`advance` (uint8)
-    state: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.uint8))
-    #: next availability-boundary instant per client (inf = none left)
-    next_event_at: np.ndarray = field(default_factory=lambda: np.empty(0))
     _row_index: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -89,11 +78,6 @@ class ClientPopulation:
             raise ConfigError(f"win_offsets must have {n + 1} entries")
         if len(self.win_start) != len(self.win_end):
             raise ConfigError("win_start and win_end lengths differ")
-        if self.state.size == 0:
-            self.state = np.zeros(n, dtype=np.uint8)
-            self.next_event_at = np.full(n, np.inf)
-            if self.total_windows:
-                self.advance(0.0)
 
     # ------------------------------------------------------------- identity
     @property
@@ -157,7 +141,6 @@ class ClientPopulation:
         )
         if horizon > 0.0:
             pop._generate_windows(seed, horizon, mean_session, mean_gap)
-            pop.advance(0.0)
         return pop
 
     def _generate_windows(
@@ -241,26 +224,6 @@ class ClientPopulation:
         mask = np.zeros(self.size, dtype=bool)
         mask[self._rows()[hit]] = True
         return mask
-
-    def next_events(self, at: float) -> np.ndarray:
-        """Each client's next availability boundary strictly after ``at``
-        (inf when none remain) — the batched-coalescing primitive: one call
-        replaces a heap entry per client with one wake per churn batch."""
-        if self.total_windows == 0:
-            return np.full(self.size, np.inf)
-        cand = np.where(
-            self.win_start > at,
-            self.win_start,
-            np.where(self.win_end > at, self.win_end, np.inf),
-        )
-        out = np.full(self.size, np.inf)
-        np.minimum.at(out, self._rows(), cand)
-        return out
-
-    def advance(self, at: float) -> None:
-        """Refresh the ``state`` and ``next_event_at`` arrays to ``at``."""
-        self.state = self.available_mask(at).astype(np.uint8)
-        self.next_event_at = self.next_events(at)
 
     def to_availability_trace(self) -> AvailabilityTrace:
         """Materialize the CSR windows as a per-id ``AvailabilityTrace``

@@ -18,16 +18,14 @@ from repro.sim.engine import (
     Process,
     Timeout,
 )
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "Store",

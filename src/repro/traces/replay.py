@@ -347,8 +347,9 @@ class TraceReplayEngine:
         #: start, so the serving loop pays nothing per event (see
         #: :mod:`repro.telemetry.bus`)
         self.telemetry = telemetry if telemetry is not None else ambient_bus()
-        #: one registry per replay: per-round participant streams and the
-        #: policies' bound streams all derive from the replay seed
+        #: one registry per replay for the policies' bound streams; the
+        #: per-round participant streams are read once each, so they come
+        #: straight from ``make_rng`` and are never memoized
         self._rngs = RngRegistry(seed)
         self._selection = resolve_policy(
             "selection", self._selection_name(), self._rngs
@@ -419,7 +420,7 @@ class TraceReplayEngine:
         exactly.
         """
         cfg = self.config
-        rng = self._rngs.stream(f"participants:{ev.tenant}:{ev.round_id}")
+        rng = make_rng(self.seed, f"participants:{ev.tenant}:{ev.round_id}")
         ctx = self._selection_context(ev)
         picked = self._selection.select(ctx, rng)
         if len(picked) == 0:

@@ -9,6 +9,7 @@ from repro.common.units import RESNET152_BYTES, RESNET18_BYTES
 from repro.core.platform import AggregationPlatform, PlatformConfig
 from repro.core.roundsim import RoundEngine
 from repro.core.updates import SimUpdate
+from repro.sim.engine import Environment
 from repro.controlplane.hierarchy import plan_hierarchy
 from repro.workloads.arrival import concurrent_arrivals, staggered_arrivals
 
@@ -86,6 +87,43 @@ def test_cross_node_transfers_counted():
     result = engine.run_round(updates, plan, include_eval=False)
     assert result.cross_node_transfers == 1  # node1's intermediate to top
     assert result.nodes_used == 2
+
+
+def test_cpu_ledgers_fold_in_fleet_order():
+    # SL-H, three nodes: leaves on node0 and node1 ship their intermediates
+    # to an otherwise idle top on node2.  The plan lists the top first and
+    # node1's clients arrive first, so neither install order nor charge
+    # order is fleet order.
+    engine = RoundEngine(PlatformConfig.sl_h(locality_aware=True), ["node0", "node1", "node2"])
+    updates = [
+        SimUpdate(uid=i, nbytes=RESNET152_BYTES, weight=1.0,
+                  arrival_time=0.0 if i < 2 else 0.5,
+                  node="node1" if i < 2 else "node0", client_id=f"u{i}")
+        for i in range(4)
+    ]
+    plan = plan_hierarchy({"node0": 2, "node1": 2, "node2": 0}, top_node="node2")
+    env = Environment()
+    tenant = engine.install_round(env, engine.build_fabric(env), updates, plan)
+    env.run(until=tenant.top_done)
+    result = engine.finish_round(tenant)
+
+    assert list(tenant.nodes) == engine.node_names
+    costs = engine._costs_for(RESNET152_BYTES)
+    for sender in ("node0", "node1"):
+        # one tx hop plus the leaf's per-client receive work
+        assert tenant.nodes[sender].get("dataplane") == pytest.approx(
+            costs.inter_tx_cpu + 2 * costs.recv_client_cpu
+        )
+    receiver = tenant.nodes["node2"]
+    assert receiver.get("dataplane") == pytest.approx(2 * costs.inter_rx_cpu)
+    assert receiver.get("ingress") == 0.0
+    assert result.cross_node_transfers == 2
+
+    expected: dict[str, float] = {}
+    for name in engine.node_names:
+        for comp, secs in tenant.nodes[name].buckets.items():
+            expected[comp] = expected.get(comp, 0.0) + secs
+    assert list(result.cpu_by_component.items()) == list(expected.items())
 
 
 def test_locality_agnostic_pays_more_cross_node():

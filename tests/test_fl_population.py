@@ -168,26 +168,6 @@ def test_windows_cover_horizon_and_are_sorted() -> None:
         assert (e <= 800.0).all()
 
 
-def test_next_events_are_strictly_future_boundaries() -> None:
-    pop = ClientPopulation.generate(120, seed=4, horizon=300.0)
-    at = 42.0
-    ne = pop.next_events(at)
-    off = pop.win_offsets
-    for i in range(pop.size):
-        bounds = sorted(
-            set(pop.win_start[off[i] : off[i + 1]]) | set(pop.win_end[off[i] : off[i + 1]])
-        )
-        expect = next((b for b in bounds if b > at), np.inf)
-        assert ne[i] == expect
-
-
-def test_advance_refreshes_state_arrays() -> None:
-    pop = ClientPopulation.generate(60, seed=6, horizon=200.0)
-    pop.advance(33.0)
-    assert np.array_equal(pop.state.astype(bool), pop.available_mask(33.0))
-    assert (pop.next_event_at[np.isfinite(pop.next_event_at)] > 33.0).all()
-
-
 def test_availability_trace_vectorized_available_matches_loop() -> None:
     trace = availability_trace(600, horizon=250.0, seed=8)
     for at in (0.0, 60.0, 249.9, 400.0):

@@ -67,6 +67,16 @@ def test_replay_is_byte_deterministic_in_its_seed():
     assert fingerprint() == fingerprint()
 
 
+def test_replay_keeps_no_per_round_rng_streams():
+    # Each round's participant stream is read once; memoizing it would
+    # grow the registry by one generator per trace event.
+    engine = _replay()
+    result = engine.run()
+    assert len(result.records) == len(engine.trace)
+    assert engine._rngs._streams
+    assert all(name.startswith("policy:") for name in engine._rngs._streams)
+
+
 def test_rounds_overlap_under_load():
     result = _replay().run()
     assert result.peak_inflight > 1
