@@ -178,7 +178,7 @@ class AvailabilityAwareSelection(SelectionPolicy):
     a replay builds the map once."""
 
     #: (clients, availability, positions of known ids, their trace rows)
-    _rows: tuple | None = None
+    _row_map: tuple | None = None
 
     def select(self, ctx: SelectionContext, rng: np.random.Generator) -> list[str]:
         if ctx.selector is None or ctx.availability is None or not ctx.clients:
@@ -192,11 +192,11 @@ class AvailabilityAwareSelection(SelectionPolicy):
     def _up(self, ctx: SelectionContext) -> np.ndarray:
         """Availability of ``ctx.clients`` at ``ctx.at``, in list order;
         ids the trace does not know are never up."""
-        cached = self._rows
+        cached = self._row_map
         if cached is None or cached[0] is not ctx.clients or cached[1] is not ctx.availability:
             rows = ctx.availability.row_index(c.client_id for c in ctx.clients)
             known = np.flatnonzero(rows >= 0)
-            cached = self._rows = (ctx.clients, ctx.availability, known, rows[known])
+            cached = self._row_map = (ctx.clients, ctx.availability, known, rows[known])
         _, avail, known, rows = cached
         up = np.zeros(len(ctx.clients), dtype=bool)
         up[known] = avail.available_mask(ctx.at)[rows]

@@ -31,7 +31,12 @@ exponentials + a cumulative sum, rather than ``availability_trace``'s
 per-client loop over per-client streams), which is what makes a 100k-client
 horizon tractable; day-night gap modulation is inherently sequential and is
 not supported here — use :func:`repro.traces.models.availability_trace`
-when you need it.
+when you need it.  Construction compiles the ``win_*`` arrays (by
+reference, no copy) into the same
+:class:`~repro.traces.models.AvailabilityIndex` an ``AvailabilityTrace``
+compiles its per-id dict into: one validator, so a hand-built population
+with inverted, unsorted or miscounted windows raises a ``ConfigError``
+naming the client, and one mask kernel behind :meth:`available_mask`.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import numpy as np
 from repro.common.errors import ConfigError
 from repro.common.rng import RngRegistry, make_rng
 from repro.fl.model import ModelSpec
-from repro.traces.models import AvailabilityTrace
+from repro.traces.models import AvailabilityIndex
 from repro.workloads.fedscale import MOBILE_PROFILE, PopulationProfile
 
 __all__ = ["ClientPopulation"]
@@ -68,7 +73,9 @@ class ClientPopulation:
     horizon: float = 0.0
     #: optional per-client NIC capacity (bits/s); None = fabric default
     nic_bps: np.ndarray | None = None
-    _row_index: np.ndarray | None = field(default=None, repr=False)
+    #: the windows compiled (and validated) once, sharing the ``win_*``
+    #: arrays by reference
+    _index: AvailabilityIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = self.size
@@ -76,8 +83,9 @@ class ClientPopulation:
             raise ConfigError("speed_factors and num_samples lengths differ")
         if len(self.win_offsets) != n + 1:
             raise ConfigError(f"win_offsets must have {n + 1} entries")
-        if len(self.win_start) != len(self.win_end):
-            raise ConfigError("win_start and win_end lengths differ")
+        self._index = AvailabilityIndex(
+            self.win_start, self.win_end, self.win_offsets, self.client_id
+        )
 
     # ------------------------------------------------------------- identity
     @property
@@ -131,24 +139,34 @@ class ClientPopulation:
         speeds = rngs.stream("speeds").lognormal(0.0, profile.speed_sigma, size=n_clients)
         raw = rngs.stream("samples").pareto(profile.samples_exponent, size=n_clients) + 1.0
         counts = np.maximum(10, raw / raw.mean() * profile.samples_mean).astype(int)
-        pop = cls(
+        if horizon > 0.0:
+            ws, we, offsets = cls._generate_windows(
+                n_clients, seed, horizon, mean_session, mean_gap
+            )
+        else:
+            ws, we = np.empty(0), np.empty(0)
+            offsets = np.zeros(n_clients + 1, dtype=np.int64)
+            horizon = 0.0
+        return cls(
             spec=spec,
             prefix=profile.name,
             speed_factors=speeds,
             num_samples=counts.astype(np.int64),
             hibernate_max=profile.hibernate_max,
-            win_offsets=np.zeros(n_clients + 1, dtype=np.int64),
+            win_start=ws,
+            win_end=we,
+            win_offsets=offsets,
+            horizon=horizon,
         )
-        if horizon > 0.0:
-            pop._generate_windows(seed, horizon, mean_session, mean_gap)
-        return pop
 
+    @staticmethod
     def _generate_windows(
-        self, seed: int, horizon: float, mean_session: float, mean_gap: float
-    ) -> None:
+        n: int, seed: int, horizon: float, mean_session: float, mean_gap: float
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The batched session/gap windows of :meth:`generate` as CSR
+        arrays ``(starts, ends, offsets)``."""
         if mean_session <= 0 or mean_gap <= 0:
             raise ConfigError("session/gap means must be positive")
-        n = self.size
         rng = make_rng(seed, "population:windows")
         online0 = rng.uniform(size=n) < mean_session / (mean_session + mean_gap)
         # Enough alternations that a client almost surely covers the horizon;
@@ -202,41 +220,16 @@ class ClientPopulation:
         else:
             ws = starts[valid]
             we = ends[valid]
-        self.win_start, self.win_end, self.win_offsets = ws, we, offsets
-        self.horizon = horizon
-        self._row_index = None
+        return ws, we, offsets
 
     # ------------------------------------------------------------- availability
-    def _rows(self) -> np.ndarray:
-        if self._row_index is None or len(self._row_index) != self.total_windows:
-            self._row_index = np.repeat(
-                np.arange(self.size, dtype=np.int64), np.diff(self.win_offsets)
-            )
-        return self._row_index
-
     def available_mask(self, at: float) -> np.ndarray:
         """Boolean mask over clients: inside an availability window at
         ``at``.  One vectorized pass over all windows — no per-client loop.
         A population without windows is always-on (server profile)."""
         if self.total_windows == 0:
             return np.ones(self.size, dtype=bool)
-        hit = (self.win_start <= at) & (at < self.win_end)
-        mask = np.zeros(self.size, dtype=bool)
-        mask[self._rows()[hit]] = True
-        return mask
-
-    def to_availability_trace(self) -> AvailabilityTrace:
-        """Materialize the CSR windows as a per-id ``AvailabilityTrace``
-        (cross-path tests and small-scale interop; O(n) Python)."""
-        windows: dict[str, tuple[tuple[float, float], ...]] = {}
-        off = self.win_offsets
-        for i in range(self.size):
-            spans = tuple(
-                (float(s), float(e))
-                for s, e in zip(self.win_start[off[i] : off[i + 1]], self.win_end[off[i] : off[i + 1]])
-            )
-            windows[self.client_id(i)] = spans
-        return AvailabilityTrace(horizon=self.horizon, windows=windows)
+        return self._index.mask(at)
 
     # ------------------------------------------------------------ timing draws
     def training_durations(self, rng: np.random.Generator, idx: np.ndarray) -> np.ndarray:

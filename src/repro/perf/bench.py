@@ -13,8 +13,10 @@ CPU critical path — the multi-core floor).
 
 ``python -m repro.perf.bench --out BENCH_engine.json --label <label>``
 appends one labelled entry to the JSON trajectory so successive PRs can be
-compared (see ``benchmarks/README.md``).  The pytest-benchmark suite in
-``benchmarks/test_bench_engine.py`` exercises the same functions.
+compared (see ``benchmarks/README.md``); the trajectory is append-only, so
+a label already in the file is refused.  ``--trend`` compares a metric's
+last run only with an earlier run on the same host.  The pytest-benchmark
+suite in ``benchmarks/test_bench_engine.py`` exercises the same functions.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import sys
 import time
 from datetime import datetime, timezone
 
+from repro.common.errors import ConfigError
 from repro.perf.counters import EngineCounters, collect
 from repro.sim.engine import Environment
 
@@ -493,12 +496,16 @@ def _fmt_trend(value: float | None) -> str:
 
 def render_trend(doc: dict) -> str:
     """The ``--trend`` table: one row per headline metric, its values in
-    run order, and how the last measurement moved against the previous
-    one."""
+    run order, and how the last measurement moved against the latest
+    earlier one *from the same host*.  Timings from different hosts do not
+    compare, so a row without a ``host`` block is listed but never
+    compared, and a last measurement with no same-host predecessor gets
+    no delta."""
     series = trend_series(doc)
     if not series:
         return "no labelled runs in trajectory"
     labels = [label for label, _ in series[0]["points"]]
+    hosts = [run.get("host") for run in doc.get("runs", [])]
     lines = [f"trajectory across {len(labels)} labelled runs:"]
     lines.extend(f"  [{i}] {label}" for i, label in enumerate(labels))
     lines.append("")
@@ -506,9 +513,14 @@ def render_trend(doc: dict) -> str:
     for s in series:
         values = [v for _, v in s["points"]]
         cells = " -> ".join(_fmt_trend(v) for v in values)
-        measured = [v for v in values if v is not None]
-        if len(measured) >= 2 and measured[-2]:
-            delta = (measured[-1] - measured[-2]) / measured[-2] * 100.0
+        measured = [(v, h) for v, h in zip(values, hosts) if v is not None]
+        last, host = measured[-1]
+        prev = next(
+            (v for v, h in reversed(measured[:-1]) if host is not None and h == host),
+            None,
+        )
+        if prev:
+            delta = (last - prev) / prev * 100.0
             note = f"  (last vs prev: {delta:+.1f}%)"
         else:
             note = ""
@@ -545,35 +557,37 @@ def host_fingerprint() -> dict:
     }
 
 
-def record_run(path: str, label: str, metrics: dict) -> dict:
-    """Record one labelled entry in the trajectory file at ``path``,
-    stamped with the :func:`host_fingerprint` of the recording host.
-
-    An entry with the same label is *merged*: metric sections present in
-    the new run replace their namesakes, sections it did not run (e.g.
-    everything a ``--only`` run skipped) are preserved, and the timestamp
-    and host refresh.  A new label appends, preserving the trajectory of
-    earlier PRs."""
+def _load_trajectory(path: str, label: str) -> dict:
+    """The trajectory document at ``path`` (empty when there is no file),
+    refusing a ``label`` it already holds."""
     doc: dict = {"benchmark": "engine", "runs": []}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    entry = {
-        "label": label,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        "host": host_fingerprint(),
-        "metrics": metrics,
-    }
-    runs = doc.setdefault("runs", [])
-    for i, existing in enumerate(runs):
-        if existing.get("label") == label:
-            kept = dict(existing.get("metrics", {}))
-            kept.update(metrics)
-            entry["metrics"] = kept
-            runs[i] = entry
-            break
-    else:
-        runs.append(entry)
+    if any(run.get("label") == label for run in doc.get("runs", [])):
+        raise ConfigError(
+            f"{path} already has a run labelled {label!r}; the trajectory is "
+            "append-only, record under a fresh label"
+        )
+    return doc
+
+
+def record_run(path: str, label: str, metrics: dict) -> dict:
+    """Append one labelled entry to the trajectory file at ``path``,
+    stamped with the :func:`host_fingerprint` of the recording host.
+
+    The trajectory is append-only: a label already in the file raises
+    :class:`~repro.common.errors.ConfigError` before anything is written,
+    so recorded entries are never rewritten or reordered."""
+    doc = _load_trajectory(path, label)
+    doc.setdefault("runs", []).append(
+        {
+            "label": label,
+            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "host": host_fingerprint(),
+            "metrics": metrics,
+        }
+    )
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -586,7 +600,9 @@ def main(argv: list[str]) -> int:
         description="Run engine micro/macro benchmarks; optionally record the trajectory.",
     )
     parser.add_argument("--out", default=None, metavar="PATH", help="append to a BENCH_*.json trajectory")
-    parser.add_argument("--label", default="dev", help="label for the recorded entry")
+    parser.add_argument(
+        "--label", default="dev", help="label for the recorded entry (must be new to --out)"
+    )
     parser.add_argument(
         "--trend",
         action="store_true",
@@ -601,7 +617,7 @@ def main(argv: list[str]) -> int:
         default=None,
         metavar="MACRO",
         help="run only the named benchmark(s); repeatable — one of "
-        f"{', '.join(['micro', *MACRO_BENCHES])} (recorded entries merge by label)",
+        + ", ".join(["micro", *MACRO_BENCHES]),
     )
     args = parser.parse_args(argv[1:])
 
@@ -613,6 +629,12 @@ def main(argv: list[str]) -> int:
             doc = json.load(fh)
         print(render_trend(doc))
         return 0
+    if args.out:
+        # refuse a taken label before spending the benchmark time
+        try:
+            _load_trajectory(args.out, args.label)
+        except ConfigError as exc:
+            parser.error(str(exc))
 
     if args.only:
         unknown = [n for n in args.only if n != "micro" and n not in MACRO_BENCHES]

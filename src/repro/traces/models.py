@@ -2,11 +2,12 @@
 
 Everything here is *pure data from a seed*: a :class:`Trace` is a sorted
 timeline of :class:`TraceEvent`\\ s (round arrivals, per tenant), an
-:class:`AvailabilityTrace` is a set of per-client availability windows.
-The generators draw every sample from :func:`repro.common.rng.make_rng`
-streams, so the same ``(generator, parameters, seed)`` triple replays
-byte-identically in any process — the property the golden-determinism
-tests pin.
+:class:`AvailabilityTrace` is a set of per-client availability windows,
+compiled into the :class:`AvailabilityIndex` that struct-of-arrays
+populations share.  The generators draw every sample from
+:func:`repro.common.rng.make_rng` streams, so the same ``(generator,
+parameters, seed)`` triple replays byte-identically in any process — the
+property the golden-determinism tests pin.
 
 Three arrival processes cover the serving-workload literature's shapes:
 
@@ -27,7 +28,7 @@ import csv
 import json
 import math
 import os
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -37,6 +38,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 
 __all__ = [
+    "AvailabilityIndex",
     "AvailabilityTrace",
     "Trace",
     "TraceEvent",
@@ -265,36 +267,118 @@ def merge_traces(*traces: Trace) -> Trace:
 
 
 # ------------------------------------------------------------- availability
+class AvailabilityIndex:
+    """Per-client availability windows compiled once into CSR arrays.
+
+    Client ``i`` owns the ``[start, end)`` spans
+    ``starts[offsets[i]:offsets[i+1]]`` / ``ends[...]``.  Both
+    :class:`AvailabilityTrace` (per-id dict) and
+    :class:`~repro.fl.population.ClientPopulation` (CSR arrays) compile
+    into this one index, so the layout is validated once and scanned by
+    the one :meth:`mask` kernel.  The arrays are held by reference, not
+    copied.
+
+    Construction raises :class:`~repro.common.errors.ConfigError` naming
+    the client (via ``name(row)``) whose windows break the layout: offsets
+    must start at 0, never decrease and end at ``len(starts)``; every span
+    has ``start <= end``; each client's starts are non-decreasing.
+    Overlapping and zero-length spans are legal.
+    """
+
+    __slots__ = ("starts", "ends", "offsets", "rows")
+
+    def __init__(
+        self,
+        starts: np.ndarray,
+        ends: np.ndarray,
+        offsets: np.ndarray,
+        name: Callable[[int], str],
+    ) -> None:
+        starts, ends, offsets = np.asarray(starts), np.asarray(ends), np.asarray(offsets)
+        if len(starts) != len(ends):
+            raise ConfigError(
+                f"availability windows have {len(starts)} starts but {len(ends)} ends"
+            )
+        n = len(offsets) - 1
+        if n and offsets[0] != 0:
+            raise ConfigError(
+                f"availability windows of client {name(0)!r} begin at offset "
+                f"{int(offsets[0])}, not 0"
+            )
+        counts = np.diff(offsets)
+        negative = np.flatnonzero(counts < 0)
+        if negative.size:
+            i = int(negative[0])
+            raise ConfigError(
+                f"availability windows of client {name(i)!r} have a negative "
+                f"count ({int(counts[i])})"
+            )
+        if int(offsets[-1]) != len(starts):
+            owner = f" after client {name(n - 1)!r}" if n else ""
+            raise ConfigError(
+                f"availability offsets end at {int(offsets[-1])}{owner}, "
+                f"not at the {len(starts)} windows given"
+            )
+        rows = np.repeat(np.arange(n, dtype=np.int64), counts)
+        inverted = np.flatnonzero(starts > ends)
+        if inverted.size:
+            i = int(inverted[0])
+            raise ConfigError(
+                f"availability window ({starts[i]}, {ends[i]}) of client "
+                f"{name(int(rows[i]))!r} ends before it starts"
+            )
+        unsorted = np.flatnonzero((starts[1:] < starts[:-1]) & (rows[1:] == rows[:-1]))
+        if unsorted.size:
+            raise ConfigError(
+                f"availability windows of client {name(int(rows[unsorted[0]]))!r} "
+                "are not sorted by start"
+            )
+        self.starts, self.ends, self.offsets, self.rows = starts, ends, offsets, rows
+
+    @property
+    def size(self) -> int:
+        """Number of clients (rows) the index covers."""
+        return len(self.offsets) - 1
+
+    def mask(self, at: float) -> np.ndarray:
+        """Boolean availability per client at ``at``: one vectorized
+        interval test over every window."""
+        hit = (self.starts <= at) & (at < self.ends)
+        mask = np.zeros(self.size, dtype=bool)
+        mask[self.rows[hit]] = True
+        return mask
+
+
 @dataclass
 class AvailabilityTrace:
     """Per-client availability windows over a horizon (FedScale-style).
 
     ``windows[client_id]`` is a tuple of ``[start, end)`` intervals during
-    which the client can be selected for a round.  Every span has
-    ``start <= end`` and each client's starts are non-decreasing;
-    overlapping and zero-length spans are legal.  Construction raises
-    :class:`~repro.common.errors.ConfigError` naming the first client that
-    breaks either rule.
-
-    The windows are read-only after construction, which compiles them once
-    into a flat index (sorted-id order) so availability queries are one
-    vectorized interval test rather than a Python loop per client.  Built
-    by :func:`availability_trace` (session/churn distributions with
-    optional day-night modulation) or assembled directly from log data.
+    which the client can be selected for a round.  The windows are
+    read-only after construction, which compiles them once (sorted-id
+    order) into an :class:`AvailabilityIndex` — that validates them and
+    raises :class:`~repro.common.errors.ConfigError` naming the first
+    client whose spans are inverted or not sorted by start — so
+    availability queries are one vectorized interval test rather than a
+    Python loop per client.  Built by :func:`availability_trace`
+    (session/churn distributions with optional day-night modulation) or
+    assembled directly from log data.
     """
 
     horizon: float
     windows: dict[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
-    #: the compiled CSR index over all windows: (sorted ids, window starts,
-    #: window ends, each window's row in the sorted ids)
-    _index: tuple = field(init=False, repr=False, compare=False)
+    #: the sorted client ids: row ``i`` of the index is ``_ids[i]``
+    _ids: list[str] = field(init=False, repr=False, compare=False)
+    _index: AvailabilityIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ids = sorted(self.windows)
         counts = np.fromiter(
             (len(self.windows[cid]) for cid in ids), dtype=np.int64, count=len(ids)
         )
-        total = int(counts.sum())
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        total = int(offsets[-1])
         # Stream the bounds straight into one array: no transient list of
         # every window tuple.
         flat = np.fromiter(
@@ -303,25 +387,12 @@ class AvailabilityTrace:
             count=2 * total,
         ).reshape(total, 2)
         starts, ends = flat.T.copy()
-        rows = np.repeat(np.arange(len(ids), dtype=np.int64), counts)
-        inverted = np.flatnonzero(starts > ends)
-        if inverted.size:
-            i = int(inverted[0])
-            raise ConfigError(
-                f"availability window ({starts[i]}, {ends[i]}) of client "
-                f"{ids[rows[i]]!r} ends before it starts"
-            )
-        unsorted = np.flatnonzero((starts[1:] < starts[:-1]) & (rows[1:] == rows[:-1]))
-        if unsorted.size:
-            raise ConfigError(
-                f"availability windows of client {ids[rows[unsorted[0]]]!r} "
-                "are not sorted by start"
-            )
-        self._index = (ids, starts, ends, rows)
+        self._ids = ids
+        self._index = AvailabilityIndex(starts, ends, offsets, ids.__getitem__)
 
     @property
     def client_ids(self) -> list[str]:
-        return list(self._index[0])
+        return list(self._ids)
 
     def is_available(self, client_id: str, at: float) -> bool:
         for start, end in self.windows.get(client_id, ()):
@@ -336,29 +407,25 @@ class AvailabilityTrace:
         :attr:`client_ids`), or -1 for an id the trace does not know —
         :meth:`is_available` treats those as never up.  Map a fixed client
         list once, then gather the mask through it every round."""
-        row_of = {cid: i for i, cid in enumerate(self._index[0])}
+        row_of = {cid: i for i, cid in enumerate(self._ids)}
         return np.fromiter((row_of.get(cid, -1) for cid in client_ids), dtype=np.int64)
 
     def available_mask(self, at: float) -> "np.ndarray":
         """Boolean availability per client at ``at``, in sorted-id order —
         the vectorized core of :meth:`available`."""
-        ids, starts, ends, rows = self._index
-        hit = (starts <= at) & (at < ends)
-        mask = np.zeros(len(ids), dtype=bool)
-        mask[rows[hit]] = True
-        return mask
+        return self._index.mask(at)
 
     def available(self, at: float) -> list[str]:
         """Client ids available at time ``at``, in sorted-id order (the
         deterministic sampling base)."""
-        ids = self._index[0]
-        return [ids[i] for i in np.flatnonzero(self.available_mask(at)).tolist()]
+        ids = self._ids
+        return [ids[i] for i in np.flatnonzero(self._index.mask(at)).tolist()]
 
     def availability_fraction(self, at: float) -> float:
         """Fraction of the population available at ``at`` (0 when empty)."""
         if not self.windows:
             return 0.0
-        return len(self.available(at)) / len(self.windows)
+        return int(np.count_nonzero(self._index.mask(at))) / len(self.windows)
 
     def sample(self, at: float, n: int, rng: np.random.Generator) -> list[str]:
         """Draw up to ``n`` distinct available clients at ``at`` (all of

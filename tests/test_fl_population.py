@@ -11,7 +11,10 @@ The contracts :mod:`repro.fl.population` promises (its module docstring):
   equivalent client list + availability trace;
 * availability parity — CSR masks agree with the per-id window dict,
   and ``AvailabilityTrace``'s compiled mask and ``available()`` agree
-  with its scalar ``is_available``.
+  with its scalar ``is_available``;
+* one validator — a hand-built population's windows go through the same
+  ``AvailabilityIndex`` checks as a trace's, and a bad layout raises a
+  ``ConfigError`` naming the client.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
+from repro.fl.model import model_spec
 from repro.fl.population import ClientPopulation
 from repro.fl.selector import Selector, SelectorConfig
-from repro.traces.models import availability_trace
+from repro.traces.models import AvailabilityIndex, AvailabilityTrace, availability_trace
 from repro.workloads.fedscale import MOBILE_PROFILE, SERVER_PROFILE, make_population
 
 
@@ -33,6 +37,38 @@ def _pop_pair(n: int, seed: int, profile=MOBILE_PROFILE, horizon: float = 0.0):
     pop = ClientPopulation.generate(n, profile=profile, seed=seed, horizon=horizon)
     ref = make_population(n, profile=profile, seed=seed)
     return pop, ref
+
+
+def _as_trace(pop: ClientPopulation) -> AvailabilityTrace:
+    """The population's CSR windows as a per-id ``AvailabilityTrace``."""
+    off = pop.win_offsets
+    return AvailabilityTrace(
+        horizon=pop.horizon,
+        windows={
+            pop.client_id(i): tuple(
+                zip(
+                    pop.win_start[off[i] : off[i + 1]].tolist(),
+                    pop.win_end[off[i] : off[i + 1]].tolist(),
+                )
+            )
+            for i in range(pop.size)
+        },
+    )
+
+
+def _hand_built(starts, ends, offsets) -> ClientPopulation:
+    """A population with the given CSR windows; client ``i`` is ``c-000i``."""
+    n = len(offsets) - 1
+    return ClientPopulation(
+        spec=model_spec("resnet18"),
+        prefix="c",
+        speed_factors=np.ones(n),
+        num_samples=np.ones(n, dtype=np.int64),
+        hibernate_max=0.0,
+        win_start=np.asarray(starts, dtype=float),
+        win_end=np.asarray(ends, dtype=float),
+        win_offsets=np.asarray(offsets, dtype=np.int64),
+    )
 
 
 # ---- generation parity ----------------------------------------------------
@@ -123,7 +159,7 @@ def test_select_population_matches_select_available(n, goal, seed, diversity) ->
         assert np.array_equal(picked, expect)
         return
     sel = Selector(SelectorConfig(aggregation_goal=goal, over_provision=1.0))
-    trace = pop.to_availability_trace()
+    trace = _as_trace(pop)
     at = 10.0
     r1, r2 = make_rng(seed, "s"), make_rng(seed, "s")
     picked = sel.select_population(pop, r1, pop.available_mask(at))
@@ -151,7 +187,7 @@ def test_select_population_empty_pool_is_unformable_round() -> None:
 )
 def test_available_mask_matches_window_dict(n, seed, at) -> None:
     pop = ClientPopulation.generate(n, seed=seed, horizon=450.0)
-    trace = pop.to_availability_trace()
+    trace = _as_trace(pop)
     expect = np.array([trace.is_available(pop.client_id(i), at) for i in range(n)])
     assert np.array_equal(pop.available_mask(at), expect)
 
@@ -166,6 +202,56 @@ def test_windows_cover_horizon_and_are_sorted() -> None:
         assert (e >= s).all()
         assert (s[1:] >= e[:-1]).all()  # disjoint, time-ordered
         assert (e <= 800.0).all()
+
+
+@pytest.mark.parametrize(
+    "starts, ends, offsets, error, client",
+    [
+        ([0, 10, 30], [5, 20, 25], [0, 1, 2, 3], "ends before it starts", "c-0002"),
+        ([0, 50, 10], [5, 60, 20], [0, 1, 3, 3], "not sorted by start", "c-0001"),
+        ([0, 10, 20], [5, 15, 25], [0, 1, 2, 2], "offsets end at 2", "c-0002"),
+        ([0, 10, 20], [5, 15, 25], [0, 2, 1, 3], "negative count", "c-0001"),
+    ],
+    ids=["inverted", "unsorted", "offsets-short", "negative-count"],
+)
+def test_hand_built_population_validates_windows(starts, ends, offsets, error, client):
+    with pytest.raises(ConfigError, match=error) as info:
+        _hand_built(starts, ends, offsets)
+    assert repr(client) in str(info.value)
+
+
+#: one ``[start, end)`` span on a small integer grid, so zero-length spans,
+#: overlaps and equal starts all come up often
+_SPAN = st.tuples(st.integers(0, 20), st.integers(0, 6)).map(
+    lambda sd: (float(sd[0]), float(sd[0] + sd[1]))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    clients=st.lists(st.lists(_SPAN, max_size=5).map(sorted), min_size=1, max_size=6),
+    extra=st.lists(st.floats(min_value=-1.0, max_value=30.0, allow_nan=False), max_size=3),
+)
+def test_index_mask_matches_brute_force(clients, extra) -> None:
+    starts = [s for spans in clients for s, _ in spans]
+    ends = [e for spans in clients for _, e in spans]
+    offsets = np.cumsum([0] + [len(spans) for spans in clients])
+    index = AvailabilityIndex(
+        np.asarray(starts, dtype=float), np.asarray(ends, dtype=float), offsets, str
+    )
+    trace = AvailabilityTrace(
+        horizon=30.0, windows={f"c-{i:04d}": tuple(spans) for i, spans in enumerate(clients)}
+    )
+    pop = _hand_built(starts, ends, offsets)
+    # query at every window bound (where an off-by-one would show) and a few
+    # arbitrary instants
+    for at in sorted({*starts, *ends, *extra}):
+        brute = np.array([any(s <= at < e for s, e in spans) for spans in clients])
+        assert np.array_equal(index.mask(at), brute)
+        # the dict route and the CSR route compile to the same mask
+        assert np.array_equal(trace.available_mask(at), brute)
+        if starts:  # a population without windows is always-on instead
+            assert np.array_equal(pop.available_mask(at), brute)
 
 
 def test_availability_trace_vectorized_available_matches_loop() -> None:

@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.common.errors import ConfigError
 from repro.perf.bench import render_trend, trend_series
 from repro.telemetry.html import build_report, split_runs
 from repro.telemetry.watch import WatchState, render_frame, sparkline
@@ -136,12 +139,23 @@ def _campaign_doc() -> dict:
     }
 
 
+_HOST = {"cpu": "Test CPU", "nproc": 2, "python": "3.11.7", "numpy": "2.0.0"}
+
+
 def _bench_doc() -> dict:
     return {
         "benchmark": "engine",
         "runs": [
-            {"label": "pr1", "metrics": {"macro_stress50": {"LIFL": {"seconds": 0.10}}}},
-            {"label": "pr2", "metrics": {"macro_stress50": {"LIFL": {"seconds": 0.08}}}},
+            {
+                "label": "pr1",
+                "host": dict(_HOST),
+                "metrics": {"macro_stress50": {"LIFL": {"seconds": 0.10}}},
+            },
+            {
+                "label": "pr2",
+                "host": dict(_HOST),
+                "metrics": {"macro_stress50": {"LIFL": {"seconds": 0.08}}},
+            },
         ],
     }
 
@@ -196,6 +210,37 @@ def test_render_trend_reports_delta():
     assert "(last vs prev: -20.0%)" in text
 
 
+@pytest.mark.parametrize(
+    "hosts",
+    [(None, None), (None, _HOST), (_HOST, {**_HOST, "cpu": "Other CPU"})],
+    ids=["host-less", "host-less-prev", "cross-host"],
+)
+def test_render_trend_compares_only_same_host_rows(hosts):
+    doc = _bench_doc()
+    for run, host in zip(doc["runs"], hosts):
+        run.pop("host")
+        if host is not None:
+            run["host"] = host
+    text = render_trend(doc)
+    assert "100 -> 80" in text  # every row is still listed
+    assert "last vs prev" not in text
+
+
+def test_render_trend_skips_other_hosts_to_the_same_host_prev():
+    doc = _bench_doc()
+    doc["runs"].insert(
+        1,
+        {
+            "label": "elsewhere",
+            "host": {**_HOST, "nproc": 64},
+            "metrics": {"macro_stress50": {"LIFL": {"seconds": 0.01}}},
+        },
+    )
+    text = render_trend(doc)
+    assert "100 -> 10 -> 80" in text
+    assert "(last vs prev: -20.0%)" in text
+
+
 def test_render_trend_empty_doc():
     assert render_trend({"runs": []}) == "no labelled runs in trajectory"
 
@@ -218,6 +263,24 @@ def test_record_run_stamps_host(tmp_path):
         host = json.load(fh)["runs"][-1]["host"]
     assert set(host) == {"cpu", "nproc", "python", "numpy"}
     assert host["cpu"] and host["nproc"] >= 1
+
+
+def test_record_run_is_append_only(tmp_path):
+    from repro.perf.bench import main, record_run
+
+    path = str(tmp_path / "BENCH_engine.json")
+    record_run(path, "a", {"micro": {"x": 1}})
+    record_run(path, "b", {"micro": {"x": 2}})
+    with open(path, "rb") as fh:
+        before = fh.read()
+    with pytest.raises(ConfigError, match="already has a run labelled 'a'"):
+        record_run(path, "a", {"macro_stress50": {}})
+    # the CLI refuses the taken label before running any benchmark
+    with pytest.raises(SystemExit):
+        main(["bench", "--skip-macro", "--out", path, "--label", "b"])
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert [run["label"] for run in json.loads(before)["runs"]] == ["a", "b"]
 
 
 # ------------------------------------------------------------------- tags

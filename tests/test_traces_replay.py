@@ -331,6 +331,23 @@ def _population(n=400, seed=5, horizon=300.0):
     return ClientPopulation.generate(n, seed=seed, horizon=horizon)
 
 
+def _as_trace(pop) -> AvailabilityTrace:
+    """The population's CSR windows as a per-id ``AvailabilityTrace``."""
+    off = pop.win_offsets
+    return AvailabilityTrace(
+        horizon=pop.horizon,
+        windows={
+            pop.client_id(i): tuple(
+                zip(
+                    pop.win_start[off[i] : off[i + 1]].tolist(),
+                    pop.win_end[off[i] : off[i + 1]].tolist(),
+                )
+            )
+            for i in range(pop.size)
+        },
+    )
+
+
 def test_population_replay_matches_client_list_replay():
     """The struct-of-arrays path draws the same participants, weights,
     offsets — hence the same rows — as the FLClient + AvailabilityTrace
@@ -350,7 +367,7 @@ def test_population_replay_matches_client_list_replay():
         _platform(),
         trace,
         cfg,
-        availability=pop.to_availability_trace(),
+        availability=_as_trace(pop),
         weights={pop.client_id(i): float(pop.num_samples[i]) for i in range(pop.size)},
         selector=sel,
         clients=ref.clients,
